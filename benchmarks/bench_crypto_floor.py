@@ -1,26 +1,28 @@
 """Raw-speed floor of the crypto and event-engine hot paths.
 
-Sweeps the modular-exponentiation ladder (built-in ``pow`` baseline,
-fixed-window, Montgomery-form, accelerated GMP backend), key generation
-(serial pure, serial accelerated, multiprocess keygen farm at several
-worker counts), and the flattened discrete-event engine — the three
-floors every attestation round bottoms out on.
+Times RSA signing and verification on both modexp engines (built-in
+``pow`` and the default engine, GMP when ``libgmp`` loads), cold
+key-pool prefill on both engines, and the flattened discrete-event
+engine — the three floors every attestation round bottoms out on.
 
-All variants are transcript-transparent (identical integers, identical
-bytes; ``tests/test_fastpath_determinism.py`` pins the full on/off
-matrix), so this harness measures *only* wall-clock.
+Both engines compute identical integers and bytes
+(``tests/test_fastpath_determinism.py`` and
+``tests/test_crypto_modexp.py`` pin that), so this harness measures
+*only* wall-clock. The ``pow`` side is measured by switching
+``accel.AVAILABLE`` off for the duration of one row.
 
-Outputs ``BENCH_crypto_floor.json`` (repo root by default) and appends
-a table to ``bench_tables.txt``. The ``--min-speedup`` gate fails the
-run (exit 1) unless, versus the same-run pure baselines:
+Outputs ``BENCH_crypto_floor.json`` (repo root by default, with
+``host_cpus``) and appends a table to ``bench_tables.txt``. The
+``--min-speedup`` gate fails the run (exit 1) unless, versus the
+same-run ``pow`` baselines:
 
-- best sign throughput is ≥ 3x the ``pow``-CRT baseline, and
-- farm-enabled pool prefill is ≥ 4x the serial pure-python prefill
+- default-engine sign throughput is ≥ 3x the ``pow``-CRT sign, and
+- default-engine pool prefill is ≥ 4x the ``pow``-only prefill
 
-(the PR's acceptance bar; ``--min-speedup`` scales both targets, 0
-disables the gate). ``--quick`` shrinks the sign/engine iteration
-counts but keeps the keygen profile, because keys/sec over too few
-keys is dominated by candidate-count luck rather than throughput.
+(``--min-speedup`` scales both targets, 0 disables the gate).
+``--quick`` shrinks the sign/engine iteration counts but keeps the
+keygen profile, because keys/sec over too few keys is dominated by
+candidate-count luck rather than throughput.
 
 Usage::
 
@@ -34,6 +36,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _tables import print_table  # noqa: E402
 
-from repro.crypto import accel, fastpath, keygen_farm  # noqa: E402
+from repro.crypto import accel, fastpath  # noqa: E402
 from repro.crypto.drbg import HmacDrbg  # noqa: E402
 from repro.crypto.keypool import KeyPool  # noqa: E402
 from repro.crypto.rsa import generate_keypair  # noqa: E402
@@ -52,10 +55,24 @@ from repro.sim.engine import Engine  # noqa: E402
 SEED = 13
 
 SIGN_TARGET = 3.0
-"""Acceptance bar: best sign ops/sec over the ``pow``-CRT baseline."""
+"""Acceptance bar: default-engine sign ops/sec over ``pow``-CRT sign."""
 
 PREFILL_TARGET = 4.0
-"""Acceptance bar: farm prefill keys/sec over serial pure prefill."""
+"""Acceptance bar: default-engine prefill keys/sec over ``pow`` prefill."""
+
+#: row names: the ``pow`` reference engine, then the default engine
+ENGINES = ("pow", "accel")
+
+
+@contextmanager
+def _engine(name: str):
+    """Run one row on the named engine (``pow`` forces GMP off)."""
+    saved = accel.AVAILABLE
+    accel.AVAILABLE = saved and name == "accel"
+    try:
+        yield
+    finally:
+        accel.AVAILABLE = saved
 
 
 def _timed(fn, n: int) -> dict:
@@ -71,56 +88,41 @@ def _timed(fn, n: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# modexp ladder: sign / verify
+# sign / verify
 # ----------------------------------------------------------------------
 
-#: variant name -> fastpath overrides (ordered slowest-first for the table)
-SIGN_VARIANTS = {
-    "pow": {},
-    "montgomery": {"modexp_montgomery": True},
-    "fixed_window": {"modexp_fixed_window": True},
-    "accel": {"accel_backend": True},
-}
 
-
-def bench_sign_variants(key_bits: int, n: int) -> dict:
+def bench_sign(key_bits: int, n: int) -> dict:
     keypair = generate_keypair(HmacDrbg(SEED, "floor-sig").fork("k"), key_bits)
     message = {"vid": "vm-1", "measurements": {"m": 1.0}, "nonce": b"x" * 16}
     reference = sign(keypair.private, message)
     results: dict = {}
-    # the pure-python walks are reference implementations and slower
-    # than C pow; give them fewer iterations so the sweep stays cheap
-    iterations = {"pow": n, "montgomery": max(20, n // 4),
-                  "fixed_window": max(20, n // 2), "accel": n * 2}
-    for name, overrides in SIGN_VARIANTS.items():
-        with fastpath.overridden(**overrides):
+    iterations = {"pow": n, "accel": n * 2}
+    for name in ENGINES:
+        with _engine(name):
             assert sign(keypair.private, message) == reference
             results[name] = _timed(
                 lambda: sign(keypair.private, message), iterations[name]
             )
-    with fastpath.overridden(verify_memo=False):
-        results["verify_pow"] = _timed(
-            lambda: verify(keypair.public, message, reference), n
-        )
-    with fastpath.overridden(verify_memo=False, accel_backend=True):
-        results["verify_accel"] = _timed(
-            lambda: verify(keypair.public, message, reference), n
-        )
+    for name in ENGINES:
+        with _engine(name), fastpath.overridden(verify_memo=False):
+            results[f"verify_{name}"] = _timed(
+                lambda: verify(keypair.public, message, reference), n
+            )
     return results
 
 
 # ----------------------------------------------------------------------
-# keygen: serial vs accelerated vs farm
+# keygen: cold key-pool prefill
 # ----------------------------------------------------------------------
 
 
-def _prefill_rate(count: int, key_bits: int, **overrides) -> dict:
-    """Wall-clock a cold KeyPool prefill under one configuration."""
-    with fastpath.overridden(key_pool=True, **overrides):
-        pool = KeyPool(HmacDrbg(SEED, "floor-pool"), key_bits)
-        start = time.perf_counter()
-        pool.prefill(count)
-        seconds = time.perf_counter() - start
+def _prefill_rate(count: int, key_bits: int) -> dict:
+    """Wall-clock a cold KeyPool prefill on the active engine."""
+    pool = KeyPool(HmacDrbg(SEED, "floor-pool"), key_bits)
+    start = time.perf_counter()
+    pool.prefill(count)
+    seconds = time.perf_counter() - start
     return {
         "n": count,
         "seconds": round(seconds, 6),
@@ -129,21 +131,10 @@ def _prefill_rate(count: int, key_bits: int, **overrides) -> dict:
 
 
 def bench_keygen(key_bits: int, n_keys: int) -> dict:
-    results = {
-        "serial_pure": _prefill_rate(n_keys, key_bits),
-        "serial_accel": _prefill_rate(n_keys, key_bits, accel_backend=True),
-    }
-    cpus = os.cpu_count() or 1
-    sweep = sorted({w for w in (1, 2, 4, cpus) if w <= max(2, cpus)})
-    for workers in sweep:
-        results[f"farm_w{workers}"] = _prefill_rate(
-            n_keys, key_bits,
-            accel_backend=True, keygen_farm=True, keygen_farm_workers=workers,
-        )
-    # the headline configuration: farm on, one worker per CPU
-    results["farm_auto"] = _prefill_rate(
-        n_keys, key_bits, accel_backend=True, keygen_farm=True,
-    )
+    results = {}
+    for name in ENGINES:
+        with _engine(name):
+            results[name] = _prefill_rate(n_keys, key_bits)
     return results
 
 
@@ -200,19 +191,18 @@ def run(args: argparse.Namespace) -> dict:
     fastpath.reset_stats()
     clear_verify_memo()
     results: dict = {}
-    results["sign"] = bench_sign_variants(args.key_bits, n_sign)
+    results["sign"] = bench_sign(args.key_bits, n_sign)
     results["keygen"] = bench_keygen(args.key_bits, n_keys)
     results["engine"] = bench_engine(engine_events)
 
-    best_sign = max(
-        results["sign"][name]["ops_per_sec"] for name in SIGN_VARIANTS
-    )
     results["sign_speedup"] = round(
-        best_sign / results["sign"]["pow"]["ops_per_sec"], 2
+        results["sign"]["accel"]["ops_per_sec"]
+        / results["sign"]["pow"]["ops_per_sec"],
+        2,
     )
     results["prefill_speedup"] = round(
-        results["keygen"]["farm_auto"]["keys_per_sec"]
-        / results["keygen"]["serial_pure"]["keys_per_sec"],
+        results["keygen"]["accel"]["keys_per_sec"]
+        / results["keygen"]["pow"]["keys_per_sec"],
         2,
     )
     return results
@@ -220,13 +210,13 @@ def run(args: argparse.Namespace) -> dict:
 
 def render_rows(results: dict) -> list[list]:
     rows = []
-    for name in SIGN_VARIANTS:
+    for name in ENGINES:
         entry = results["sign"][name]
         rows.append([f"RSA sign ({name})", f"{entry['ops_per_sec']:,.1f}",
                      entry["n"], f"{entry['seconds']:.3f}"])
-    for name in ("verify_pow", "verify_accel"):
-        entry = results["sign"][name]
-        rows.append([f"RSA {name.replace('_', ' ')}",
+    for name in ENGINES:
+        entry = results["sign"][f"verify_{name}"]
+        rows.append([f"RSA verify ({name})",
                      f"{entry['ops_per_sec']:,.1f}",
                      entry["n"], f"{entry['seconds']:.3f}"])
     for name, entry in results["keygen"].items():
@@ -237,9 +227,9 @@ def render_rows(results: dict) -> list[list]:
         rows.append([f"engine {name.replace('_', ' ')}",
                      f"{entry['ops_per_sec']:,.1f}",
                      entry["n"], f"{entry['seconds']:.3f}"])
-    rows.append(["best sign / pow-CRT sign speedup",
+    rows.append(["accel sign / pow-CRT sign speedup",
                  f"{results['sign_speedup']:.2f}x", "", ""])
-    rows.append(["farm prefill / serial pure prefill speedup",
+    rows.append(["accel prefill / pow prefill speedup",
                  f"{results['prefill_speedup']:.2f}x", "", ""])
     return rows
 
@@ -261,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="append the human table here ('' to skip)")
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="scales the acceptance targets (3x sign, 4x "
-                             "farm prefill); 0 disables the gate")
+                             "prefill); 0 disables the gate")
     args = parser.parse_args(argv)
 
     results = run(args)
@@ -280,9 +270,9 @@ def main(argv: list[str] | None = None) -> int:
         "key_bits": args.key_bits,
         "quick": args.quick,
         "python": sys.version.split()[0],
+        "host_cpus": os.cpu_count() or 1,
         "accel": {"available": accel.AVAILABLE,
                   "backend": accel.backend_name()},
-        "farm": keygen_farm.farm_config(),
         "fastpath_stats": fastpath.stats(),
         "results": results,
     }
@@ -310,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         if results["prefill_speedup"] < PREFILL_TARGET * args.min_speedup:
             failures.append(
-                f"farm prefill speedup {results['prefill_speedup']:.2f}x < "
+                f"prefill speedup {results['prefill_speedup']:.2f}x < "
                 f"required {PREFILL_TARGET * args.min_speedup:.1f}x"
             )
         if failures:

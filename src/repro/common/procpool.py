@@ -1,35 +1,31 @@
-"""Shared fork-based process-pool plumbing.
+"""Fork-based worker-process plumbing for the parallel shard executor.
 
-Two subsystems farm CPU-bound work out to forked worker processes: the
-keygen farm (:mod:`repro.crypto.keygen_farm`) ships pre-forked DRBG
-states to a short-lived ``Pool``, and the parallel shard executor
-(:mod:`repro.shard.parallel`) keeps one long-lived worker per shard
-serving command batches over a pipe. Both need the same plumbing —
-start-method detection, worker-count resolution, graceful serial
-fallback on spawn-only platforms — so it lives here once.
+The parallel shard executor (:mod:`repro.shard.parallel`) keeps one
+long-lived worker per shard serving command batches over a pipe. This
+module holds that plumbing: start-method detection
+(:func:`fork_available`) and the worker itself
+(:class:`PersistentWorker`).
 
 Everything is built on the ``fork`` start method on purpose: forked
 children inherit the parent's live state (the ``fastpath``
-configuration, fully-constructed shard deployments, loaded accel
-backends) by copy-on-write, so no argument pickling or re-construction
+configuration, fully-constructed shard deployments, the loaded GMP
+engine) by copy-on-write, so no argument pickling or re-construction
 happens at spawn time. Where ``fork`` is unavailable (non-POSIX
-platforms), callers degrade to their serial in-process paths — same
-bytes, no processes — and may record a warning counter via the
-``on_fallback`` hook.
+platforms), the executor degrades to its serial in-process path — same
+bytes, no processes.
 
-:class:`PersistentWorker` is the long-lived variant: one forked child
-running a request/reply loop over a duplex pipe. Requests are sequence-
-numbered so replies can be awaited out of submission order; a dead
-child surfaces as :class:`WorkerCrashError` on the next send/receive,
-which callers treat as their signal to fall back to serial execution.
+:class:`PersistentWorker` is one forked child running a request/reply
+loop over a duplex pipe. Requests are sequence-numbered so replies can
+be awaited out of submission order; a dead child surfaces as
+:class:`WorkerCrashError` on the next send/receive, which callers treat
+as their signal to fall back to serial execution.
 """
 
 from __future__ import annotations
 
 import gc
 import multiprocessing
-import os
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.common.errors import CloudMonattError
 
@@ -50,43 +46,6 @@ def fork_available() -> bool:
         return "fork" in multiprocessing.get_all_start_methods()
     except Exception:
         return False
-
-
-def resolve_workers(requested: int, jobs: int) -> int:
-    """Pool size for ``jobs`` tasks: requested, else one per CPU."""
-    workers = requested if requested > 0 else (os.cpu_count() or 1)
-    return max(1, min(workers, jobs))
-
-
-def map_forked(
-    fn: Callable[[Any], Any],
-    tasks: list,
-    workers: int = 0,
-    chunksize: int = 1,
-    on_fallback: Optional[Callable[[], None]] = None,
-) -> list:
-    """``pool.map`` over a fork pool, order-preserving, serial fallback.
-
-    Results are index-aligned with ``tasks`` regardless of completion
-    order (``Pool.map`` preserves input order), so parallel and serial
-    executions return identical lists. When more than one worker is
-    requested but ``fork`` is unavailable, ``on_fallback`` is invoked
-    once (callers bump a warning counter there) and the tasks run
-    serially in-process.
-    """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    workers = resolve_workers(workers, len(tasks))
-    if workers > 1 and not fork_available():
-        if on_fallback is not None:
-            on_fallback()
-        workers = 1
-    if workers <= 1:
-        return [fn(task) for task in tasks]
-    context = multiprocessing.get_context("fork")
-    with context.Pool(processes=workers) as pool:
-        return pool.map(fn, tasks, chunksize=chunksize)
 
 
 def _worker_loop(conn, handler: Callable[[Any], Any]) -> None:

@@ -1,26 +1,28 @@
-"""Optional accelerated modular-exponentiation backend (ctypes + GMP).
+"""The one modular-exponentiation engine: GMP when loadable, else ``pow``.
 
 Every hot crypto path in the reproduction bottoms out on ``x^e mod n``:
 CRT signing, Miller-Rabin keygen, signature verification. CPython's
 built-in ``pow`` is already C, but GMP's ``mpz_powm`` is ~an order of
 magnitude faster at RSA sizes (assembly multiplication, dedicated
-Montgomery reduction). When ``libgmp`` is loadable this module exposes
-it through :func:`powmod`, a drop-in for the three-argument ``pow``.
+Montgomery reduction). This module is the only place that decides which
+one runs: :func:`powmod` and :func:`mr_witness_passes` use GMP when
+``libgmp`` loads and passes the import-time self-test, and ``pow``
+otherwise. No option is involved.
 
 Design constraints, in order:
 
 - **Bit-exact by construction.** ``mpz_powm`` computes the same integer
   as ``pow``; an import-time self-test cross-checks a few values against
   ``pow`` and refuses the backend on any mismatch. Because the *result*
-  is identical, the accelerated paths are excluded from the
-  transcript/audit-hash equivalence concerns by construction — there is
-  no behaviour to gate, only speed (see ``fastpath.accel_backend``).
+  is identical, the engine choice never moves a transcript or audit
+  hash; ``tests/test_crypto_modexp.py`` and
+  ``tests/test_fastpath_determinism.py`` run both engines byte for byte.
 - **No new dependencies.** ``gmpy2`` is not assumed; the shared library
   is reached through :mod:`ctypes` and its absence simply leaves
   :data:`AVAILABLE` false, with every caller falling back to ``pow``.
-- **Allocation-free steady state.** Each thread keeps four reusable
-  ``mpz_t`` structs (thread-local, so the key-pool worker thread and
-  keygen-farm processes never share GMP state); imports reuse the limb
+- **Allocation-free steady state.** Each thread keeps seven reusable
+  ``mpz_t`` structs (thread-local, so threads never share GMP state;
+  forked shard workers get their own copy); imports reuse the limb
   buffers, so a sign is three imports, one ``powm`` and one export.
 """
 

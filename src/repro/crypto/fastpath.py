@@ -9,6 +9,11 @@ transcript-equivalence tests can run the same seed with everything
 disabled and prove byte-for-byte identical quotes, signatures and audit
 logs (see ``tests/test_fastpath_determinism.py``).
 
+The modular-exponentiation engine is deliberately *not* a knob: it is
+picked once per process by :mod:`repro.crypto.accel` (GMP when it loads
+and passes its self-test, built-in ``pow`` otherwise), and both engines
+compute the same integers.
+
 The config is process-global on purpose: the caches it governs
 (notably the verification memo) are shared across endpoints, and the
 simulation never runs two differently-configured clouds that must
@@ -26,52 +31,18 @@ from repro.common.errors import ConfigurationError
 
 @dataclass
 class FastPathConfig:
-    """Feature flags and sizing knobs for the crypto fast paths."""
+    """Feature flags for the crypto fast paths.
+
+    Each flag's off side is the reference path the transcript tests
+    compare against.
+    """
 
     #: pre-generate attestation session keypairs in the Trust Module
     #: (same DRBG fork streams, pop order = session order)
     key_pool: bool = True
-    #: how many session keys a pool refill pre-generates at once; 1 keeps
-    #: steady-state cost identical to the unpooled path (generate on
-    #: demand), larger batches amortise — benches and soak runs raise it
-    key_pool_batch: int = 1
-    #: generate pooled keys on a background worker thread (the DRBG fork
-    #: itself always happens on the caller's thread, so determinism is
-    #: unaffected by thread timing)
-    key_pool_background: bool = False
-    #: pre-generate pooled keys on a multiprocess worker farm (fork
-    #: order still fixed on the caller's thread, results re-assembled in
-    #: fork order, so pool contents are byte-identical to serial); on a
-    #: single-core host the farm degrades to the serial path
-    keygen_farm: bool = False
-    #: farm size; 0 means one worker per available CPU
-    keygen_farm_workers: int = 0
-    #: raw modular exponentiation through the optional accelerated
-    #: backend (GMP via ctypes when loadable — see repro.crypto.accel);
-    #: bit-exact with ``pow`` by construction, so transcripts never move
-    accel_backend: bool = False
-    #: private-key ops via the pure-python Montgomery-form windowed walk
-    #: (per-key precomputed constants; reference implementation for the
-    #: bench sweep — CPython's C ``pow`` usually still wins)
-    modexp_montgomery: bool = False
-    #: private-key ops via plain fixed-window (k-ary) exponentiation
-    #: with per-key precomputed exponent digits
-    modexp_fixed_window: bool = False
-    #: run each control-plane shard's deployment in a persistent forked
-    #: worker process (repro.shard.parallel); the coordinator merges
-    #: results and telemetry deltas in sorted shard-name order, so
-    #: reports, cross-shard roots and flight records stay byte-identical
-    #: to the serial in-process plane at any worker count
-    shard_parallel: bool = False
-    #: shard-executor worker count; 0 disables the forked path (serial
-    #: in-process plane), N > 0 runs min(N, shards) workers with shards
-    #: assigned round-robin in sorted name order
-    shard_parallel_workers: int = 0
     #: memoise *successful* signature verifications keyed by
     #: (modulus, exponent, message digest, signature)
     verify_memo: bool = True
-    #: bound on the verification memo (entries, LRU eviction)
-    verify_memo_size: int = 4096
     #: cache the HKDF-derived enc/MAC subkeys on each SymmetricKey
     cache_symmetric_subkeys: bool = True
     #: cache per-endpoint encoded certificates / hello frames
@@ -79,6 +50,8 @@ class FastPathConfig:
 
 
 _CONFIG = FastPathConfig()
+
+_FIELDS = frozenset(f.name for f in fields(FastPathConfig))
 
 #: process-global cache statistics (the verification memo has no
 #: telemetry hub in scope; the Trust Module's key pool additionally
@@ -91,18 +64,26 @@ def config() -> FastPathConfig:
     return _CONFIG
 
 
+def _check_names(names) -> None:
+    unknown = sorted(set(names) - _FIELDS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown fast-path option(s) {', '.join(map(repr, unknown))}"
+        )
+
+
 def configure(**overrides: object) -> FastPathConfig:
     """Update fields of the active configuration in place.
 
-    Disabling or resizing the verification memo clears it, so stale
-    entries never outlive the policy that admitted them.
+    Every name is validated before any field changes, so a call naming
+    an unknown option raises :class:`ConfigurationError` and leaves the
+    configuration untouched. Disabling the verification memo clears it,
+    so stale entries never outlive the policy that admitted them.
     """
-    valid = {f.name for f in fields(FastPathConfig)}
+    _check_names(overrides)
     for name, value in overrides.items():
-        if name not in valid:
-            raise ConfigurationError(f"unknown fast-path option {name!r}")
         setattr(_CONFIG, name, value)
-    if "verify_memo" in overrides or "verify_memo_size" in overrides:
+    if "verify_memo" in overrides:
         from repro.crypto import signatures
 
         signatures.clear_verify_memo()
@@ -112,6 +93,7 @@ def configure(**overrides: object) -> FastPathConfig:
 @contextmanager
 def overridden(**overrides: object) -> Iterator[FastPathConfig]:
     """Temporarily reconfigure; restores the previous values on exit."""
+    _check_names(overrides)
     previous = {name: getattr(_CONFIG, name) for name in overrides}
     configure(**overrides)
     try:
@@ -120,20 +102,9 @@ def overridden(**overrides: object) -> Iterator[FastPathConfig]:
         configure(**previous)
 
 
-def all_disabled(**extra: object):
+def all_disabled():
     """Context manager: every fast path off (the pre-optimisation path)."""
-    return overridden(
-        key_pool=False,
-        verify_memo=False,
-        cache_symmetric_subkeys=False,
-        cache_wire_encodings=False,
-        keygen_farm=False,
-        shard_parallel=False,
-        accel_backend=False,
-        modexp_montgomery=False,
-        modexp_fixed_window=False,
-        **extra,
-    )
+    return overridden(**{name: False for name in _FIELDS})
 
 
 def record(stat: str, amount: int = 1) -> None:

@@ -12,71 +12,29 @@ streams in strictly increasing ``i`` order on the caller's thread.
 Because :meth:`HmacDrbg.fork` advances the parent state, fork *order*
 is what fixes the key material — and pop order equals session order, so
 session *i* receives the identical keypair whether the pool
-pre-generated it minutes earlier, a worker thread computed it, or the
-caller generates it on demand. The only observable difference is
-wall-clock time.
-
-The optional background mode (``fastpath.configure(
-key_pool_background=True)``) forks the child DRBGs synchronously and
-hands only the pure ``generate_keypair(child_drbg)`` computation to a
-worker thread; thread scheduling can reorder *when* keys materialise,
-never *which* keys they are.
-
-The optional keygen farm (``fastpath.configure(keygen_farm=True)``)
-parallelises prefill across worker *processes* under the same split:
-forks happen here, in order, on the caller's thread; the farm only runs
-the pure per-stream computation and hands results back in fork order
-(:mod:`repro.crypto.keygen_farm`), so pool contents stay byte-identical
-to serial generation.
+pre-generated it minutes earlier or the caller generates it on demand.
+The only observable difference is wall-clock time.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Deque, Optional
 
-from repro.crypto import fastpath, keygen_farm
+from repro.crypto import fastpath
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import generate_keypair
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 
-class _PendingKey:
-    """A forked DRBG stream whose keypair may materialise off-thread."""
-
-    __slots__ = ("drbg", "bits", "result", "ready")
-
-    def __init__(self, drbg: HmacDrbg, bits: int):
-        self.drbg = drbg
-        self.bits = bits
-        self.result: Optional[KeyPair] = None
-        self.ready = threading.Event()
-
-    def compute(self) -> None:
-        self.result = generate_keypair(self.drbg, self.bits)
-        self.ready.set()
-
-    def complete(self, keypair: KeyPair) -> None:
-        """Adopt a keypair computed elsewhere (the keygen farm)."""
-        self.result = keypair
-        self.ready.set()
-
-    def wait(self) -> KeyPair:
-        self.ready.wait()
-        assert self.result is not None
-        return self.result
-
-
 class KeyPool:
     """FIFO pool of pre-generated session keypairs for one Trust Module.
 
-    ``take()`` returns the keypair for the next session index. Refills
-    are triggered by :meth:`prefill` (explicit, e.g. benchmark warm-up)
-    or by ``take()`` finding the pool empty, in which case it generates
-    ``fastpath.config().key_pool_batch`` keys (the first synchronously
-    consumed). Telemetry: ``crypto.keypool.hit`` (take served from a
+    ``take()`` returns the keypair for the next session index. Keys are
+    pre-generated only by :meth:`prefill` (explicit, e.g. benchmark or
+    fleet warm-up); ``take()`` on an empty pool generates the next key
+    on demand. Telemetry: ``crypto.keypool.hit`` (take served from a
     pre-generated key), ``crypto.keypool.miss`` (take had to generate),
     ``crypto.keypool.prefill`` (keys pre-generated ahead of use).
     """
@@ -92,20 +50,13 @@ class KeyPool:
         self._key_bits = key_bits
         self._label_format = label_format
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._pending: Deque[_PendingKey] = deque()
+        self._keys: Deque[KeyPair] = deque()
         self._next_fork_index = 1
         self._taken = 0
         self._ever_prefilled = False
-        self._worker: Optional[threading.Thread] = None
-        self._work_queue: Deque[_PendingKey] = deque()
-        self._work_signal = threading.Condition()
-
-    # ------------------------------------------------------------------
-    # fill paths
-    # ------------------------------------------------------------------
 
     def _fork_next(self) -> HmacDrbg:
-        """Fork the next session stream — always on the calling thread."""
+        """Fork the next session stream, in strictly increasing order."""
         label = self._label_format.format(i=self._next_fork_index)
         self._next_fork_index += 1
         return self._drbg.fork(label)
@@ -113,39 +64,13 @@ class KeyPool:
     def prefill(self, count: int) -> int:
         """Pre-generate ``count`` keypairs ahead of demand.
 
-        Returns the number actually added. With background mode on, the
-        generation happens on the worker thread and ``take()`` blocks
-        only if it outruns the worker.
+        Returns the number actually added.
         """
         if count <= 0:
             return 0
-        config = fastpath.config()
-        if config.keygen_farm and count > 1 and keygen_farm.available():
-            # fork every stream first (order is the determinism
-            # contract), then let the farm chew through the pure
-            # computations in parallel; results come back in fork order
-            pendings = [
-                _PendingKey(self._fork_next(), self._key_bits)
-                for _ in range(count)
-            ]
-            keypairs = keygen_farm.generate_batch(
-                [pending.drbg for pending in pendings],
-                self._key_bits,
-                config.keygen_farm_workers,
-            )
-            for pending, keypair in zip(pendings, keypairs):
-                pending.complete(keypair)
-                self._pending.append(pending)
-            fastpath.record("keypool.farm_prefill", count)
-        else:
-            background = config.key_pool_background
-            for _ in range(count):
-                pending = _PendingKey(self._fork_next(), self._key_bits)
-                if background:
-                    self._submit(pending)
-                else:
-                    pending.compute()
-                self._pending.append(pending)
+        for _ in range(count):
+            keypair = generate_keypair(self._fork_next(), self._key_bits)
+            self._keys.append(keypair)
         self.telemetry.counter("crypto.keypool.prefill").inc(count)
         fastpath.record("keypool.prefill", count)
         self._ever_prefilled = True
@@ -154,14 +79,10 @@ class KeyPool:
     def take(self) -> KeyPair:
         """The keypair for the next attestation session, in order."""
         self._taken += 1
-        if self._pending:
-            pending = self._pending.popleft()
-            keypair = pending.wait()
-            self._hit()
-            return keypair
-        # empty pool: generate on demand; a batch > 1 additionally
-        # pre-generates the following sessions' keys while we are here
-        batch = max(1, int(fastpath.config().key_pool_batch))
+        if self._keys:
+            self.telemetry.counter("crypto.keypool.hit").inc()
+            fastpath.record("keypool.hit")
+            return self._keys.popleft()
         if self._ever_prefilled:
             # a warmed pool ran dry mid-run: the pipeline's prewarm
             # under-estimated the session count, and this round pays
@@ -176,13 +97,7 @@ class KeyPool:
         keypair = generate_keypair(self._fork_next(), self._key_bits)
         self.telemetry.counter("crypto.keypool.miss").inc()
         fastpath.record("keypool.miss")
-        if batch > 1:
-            self.prefill(batch - 1)
         return keypair
-
-    def _hit(self) -> None:
-        self.telemetry.counter("crypto.keypool.hit").inc()
-        fastpath.record("keypool.hit")
 
     # ------------------------------------------------------------------
     # introspection
@@ -190,8 +105,8 @@ class KeyPool:
 
     @property
     def available(self) -> int:
-        """Keys generated (or in flight) and not yet taken."""
-        return len(self._pending)
+        """Keys generated and not yet taken."""
+        return len(self._keys)
 
     @property
     def taken(self) -> int:
@@ -202,29 +117,3 @@ class KeyPool:
     def next_session_index(self) -> int:
         """The session index the next un-pooled fork would receive."""
         return self._next_fork_index
-
-    # ------------------------------------------------------------------
-    # background worker
-    # ------------------------------------------------------------------
-
-    def _submit(self, pending: _PendingKey) -> None:
-        with self._work_signal:
-            if self._worker is None or not self._worker.is_alive():
-                self._worker = threading.Thread(
-                    target=self._work_loop, daemon=True, name="keypool-worker"
-                )
-                self._worker.start()
-            self._work_queue.append(pending)
-            self._work_signal.notify()
-
-    def _work_loop(self) -> None:
-        while True:
-            with self._work_signal:
-                while not self._work_queue:
-                    # idle out after a grace period so test runs that
-                    # spawn many pools do not accumulate sleeping threads
-                    if not self._work_signal.wait(timeout=5.0):
-                        self._worker = None
-                        return
-                pending = self._work_queue.popleft()
-            pending.compute()

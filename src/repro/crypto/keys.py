@@ -5,17 +5,12 @@ RSA keys are plain frozen dataclasses; what matters architecturally is who
 pair, and the Trust Module mints a fresh attestation key pair {AVKs, ASKs}
 per attestation session so the cloud server stays anonymous to observers.
 
-**Eager precompute.** Everything a private key can hoist out of its hot
-path — the CRT constants, the Montgomery contexts for its moduli, the
-fixed-window digit decomposition of its exponents — is computed at
-construction time in ``__post_init__``, not lazily on first use. Two
-fresh keys therefore take the *same* code path on their very first
-operation (a plain ``__dict__`` hit, no one-time-setup branch), which
-keeps first-round pooled timings free of setup jitter; the regression
-test in ``tests/test_crypto_modexp.py`` pins this. The public key keeps
-its Montgomery context lazy on purpose: public ops use ``e = 65537``,
-where a windowed walk never pays, and public keys are reconstructed on
-every wire decode where an eager ``R² mod n`` would be pure overhead.
+**Eager precompute.** A private key's CRT constants are computed at
+construction time in ``__post_init__``, not lazily on first use, so
+two fresh keys take the *same* code path on their very first operation
+(a plain ``__dict__`` hit, no one-time-setup branch). That keeps
+first-round pooled timings free of setup jitter; the regression test in
+``tests/test_crypto_modexp.py`` pins it.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from functools import cached_property
 from typing import Optional
 
 from repro.crypto.hashing import sha256_hex
-from repro.crypto.modexp import ExponentWindows, MontgomeryContext
 
 
 @dataclass(frozen=True)
@@ -39,16 +33,6 @@ class RsaPublicKey:
     def bits(self) -> int:
         """Modulus size in bits."""
         return self.n.bit_length()
-
-    @cached_property
-    def mont(self) -> MontgomeryContext:
-        """Montgomery context for ``n`` (lazy — see module docstring)."""
-        return MontgomeryContext(self.n)
-
-    @cached_property
-    def windows(self) -> ExponentWindows:
-        """Fixed-window digits of ``e`` (lazy, for the bench sweep)."""
-        return ExponentWindows(self.e)
 
     def fingerprint(self) -> str:
         """Stable short identifier for logs, reports and certificates."""
@@ -78,14 +62,8 @@ class RsaPrivateKey:
     q: int = field(repr=False, default=0)
 
     def __post_init__(self):
-        # eager precompute (module docstring): touch every cached
-        # property the raw ops consult, so no op ever hits a lazy branch
-        if self.crt is not None:
-            self.mont_crt
-            self.windows_crt
-        else:
-            self.mont_n
-            self.windows_d
+        # eager precompute (module docstring): no op hits a lazy branch
+        self.crt
 
     @property
     def bits(self) -> int:
@@ -106,31 +84,6 @@ class RsaPrivateKey:
             self.d % (self.q - 1),
             pow(self.q, -1, self.p),
         )
-
-    @cached_property
-    def mont_crt(self) -> Optional[tuple[MontgomeryContext, MontgomeryContext]]:
-        """Montgomery contexts for ``p`` and ``q`` (CRT half-width ops)."""
-        if not (self.p and self.q):
-            return None
-        return (MontgomeryContext(self.p), MontgomeryContext(self.q))
-
-    @cached_property
-    def windows_crt(self) -> Optional[tuple[ExponentWindows, ExponentWindows]]:
-        """Fixed-window digits of ``dp`` and ``dq``."""
-        crt = self.crt
-        if crt is None:
-            return None
-        return (ExponentWindows(crt[0]), ExponentWindows(crt[1]))
-
-    @cached_property
-    def mont_n(self) -> MontgomeryContext:
-        """Montgomery context for ``n`` (factorless fallback path)."""
-        return MontgomeryContext(self.n)
-
-    @cached_property
-    def windows_d(self) -> ExponentWindows:
-        """Fixed-window digits of ``d`` (factorless fallback path)."""
-        return ExponentWindows(self.d)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Performance notes (the crypto-floor PR):
   primes instead of 46 separate trial divisions — mathematically the
   same accept/reject set, so the DRBG draw sequence (and therefore
   every generated key) is unchanged.
-- The Miller-Rabin exponentiations go through the accelerated backend
-  when ``fastpath.config().accel_backend`` is on (GMP, bit-exact with
-  ``pow``). Keygen is ~40 half-width modexps per key, so this is where
-  the key-generation floor actually moves.
+- Each Miller-Rabin witness round is one :func:`accel.mr_witness_passes`
+  call (GMP when loadable, ``pow`` otherwise; bit-exact either way).
+  Keygen is ~40 half-width modexps per key, so this is where the
+  key-generation floor actually moves.
 - Base selection stays DRBG-drawn and the round count stays fixed:
   both are part of the determinism contract — skipping or reordering a
   draw would shift the stream and change every subsequent key.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from repro.crypto import accel, fastpath
+from repro.crypto import accel
 from repro.crypto.drbg import HmacDrbg
 
 _SMALL_PRIMES = [
@@ -56,24 +56,9 @@ def is_probable_prime(n: int, drbg: HmacDrbg, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if accel.AVAILABLE and fastpath.config().accel_backend:
-        # fused witness rounds: the whole x^d / squaring chain stays in
-        # GMP; base draws are identical, so the keys are too
-        for _ in range(rounds):
-            a = 2 + drbg.randint_below(n - 3)
-            if not accel.mr_witness_passes(a, d, n, r):
-                return False
-        return True
     for _ in range(rounds):
         a = 2 + drbg.randint_below(n - 3)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
+        if not accel.mr_witness_passes(a, d, n, r):
             return False
     return True
 

@@ -4,30 +4,18 @@ Textbook RSA with CRT private operations. Padding and hashing live in
 :mod:`repro.crypto.signatures`; nothing should call the raw ops directly
 except that module and the tests.
 
-**Modexp dispatch.** The raw ops select an exponentiation engine from
-``fastpath.config()`` — every engine computes the identical integer, so
-the choice can never move a protocol byte:
-
-1. ``accel_backend`` → GMP ``mpz_powm`` via :mod:`repro.crypto.accel`
-   (the raw-speed floor; silently unavailable → next rung);
-2. ``modexp_montgomery`` → per-key Montgomery contexts + fixed-window
-   walk (:mod:`repro.crypto.modexp`);
-3. ``modexp_fixed_window`` → plain k-ary walk with per-key exponent
-   digits;
-4. default → CPython's built-in ``pow``.
-
-The pure-python rungs apply to *private* ops only: the public exponent
-is 65537, where any windowed walk is strictly worse than ``pow``, so
-``public_op`` uses only the accel/pow rungs.
+Every exponentiation goes through :func:`repro.crypto.accel.powmod`,
+which uses GMP when ``libgmp`` loads and passes its self-test and
+CPython's built-in ``pow`` otherwise. Both compute the identical
+integer, so the engine can never move a protocol byte.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import CryptoError
-from repro.crypto import accel, fastpath
+from repro.crypto import accel
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.keys import KeyPair, RsaPrivateKey, RsaPublicKey
-from repro.crypto.modexp import powmod_window
 from repro.crypto.primes import generate_prime
 
 DEFAULT_KEY_BITS = 1024
@@ -64,24 +52,10 @@ def generate_keypair(drbg: HmacDrbg, bits: int = DEFAULT_KEY_BITS) -> KeyPair:
 
 
 def _private_crt(key: RsaPrivateKey, value: int) -> int:
-    """CRT recombination with the configured half-width engine."""
+    """CRT recombination: two half-width exponentiations."""
     dp, dq, q_inv = key.crt
-    config = fastpath.config()
-    if config.accel_backend and accel.AVAILABLE:
-        m1 = accel.powmod(value % key.p, dp, key.p)
-        m2 = accel.powmod(value % key.q, dq, key.q)
-    elif config.modexp_montgomery:
-        ctx_p, ctx_q = key.mont_crt
-        win_p, win_q = key.windows_crt
-        m1 = ctx_p.powm(value % key.p, win_p)
-        m2 = ctx_q.powm(value % key.q, win_q)
-    elif config.modexp_fixed_window:
-        win_p, win_q = key.windows_crt
-        m1 = powmod_window(value % key.p, key.p, win_p)
-        m2 = powmod_window(value % key.q, key.q, win_q)
-    else:
-        m1 = pow(value % key.p, dp, key.p)
-        m2 = pow(value % key.q, dq, key.q)
+    m1 = accel.powmod(value % key.p, dp, key.p)
+    m2 = accel.powmod(value % key.q, dq, key.q)
     h = (q_inv * (m1 - m2)) % key.p
     return m2 + h * key.q
 
@@ -95,21 +69,11 @@ def private_op(key: RsaPrivateKey, value: int) -> int:
         # ~4x cheaper than one full-width; constants precomputed at key
         # construction (RsaPrivateKey.__post_init__)
         return _private_crt(key, value)
-    config = fastpath.config()
-    if config.accel_backend and accel.AVAILABLE:
-        return accel.powmod(value, key.d, key.n)
-    if config.modexp_montgomery:
-        return key.mont_n.powm(value, key.windows_d)
-    if config.modexp_fixed_window:
-        return powmod_window(value, key.n, key.windows_d)
-    return pow(value, key.d, key.n)
+    return accel.powmod(value, key.d, key.n)
 
 
 def public_op(key: RsaPublicKey, value: int) -> int:
     """Raw public-key operation ``value^e mod n``."""
     if not 0 <= value < key.n:
         raise CryptoError("value out of range for RSA modulus")
-    config = fastpath.config()
-    if config.accel_backend and accel.AVAILABLE:
-        return accel.powmod(value, key.e, key.n)
-    return pow(value, key.e, key.n)
+    return accel.powmod(value, key.e, key.n)

@@ -32,6 +32,9 @@ from repro.crypto.rsa import private_op, public_op
 # DER prefix for a SHA-256 DigestInfo, as in real PKCS#1 v1.5 signatures.
 _SHA256_PREFIX = bytes.fromhex("3031300d060960864801650304020105000420")
 
+#: bound on the verification memo (entries, LRU eviction)
+VERIFY_MEMO_SIZE = 4096
+
 #: successful verifications, keyed (n, e, digest, signature); LRU-bounded
 _VERIFY_MEMO: OrderedDict[tuple[int, int, bytes, bytes], None] = OrderedDict()
 
@@ -89,7 +92,7 @@ def verify(key: RsaPublicKey, message: Any, signature: bytes) -> None:
     if memo_enabled:
         fastpath.record("verify_memo.miss")
         _VERIFY_MEMO[memo_key] = None
-        if len(_VERIFY_MEMO) > fastpath.config().verify_memo_size:
+        if len(_VERIFY_MEMO) > VERIFY_MEMO_SIZE:
             _VERIFY_MEMO.popitem(last=False)
 
 

@@ -11,7 +11,7 @@ register_policy / run_for / prewarm / drain / apply) executed by
 
 - :class:`SerialShardExecutor` runs it immediately in-process — the
   exact pre-existing serial plane, and the fallback for hosts without
-  ``fork`` or for ``shard_parallel_workers=0``.
+  ``fork`` or for ``parallel_workers=0``.
 - :class:`ForkedShardExecutor` runs it in one of ``min(workers,
   shards)`` persistent forked worker processes (shards assigned
   round-robin in sorted name order), dispatching command batches over
@@ -262,8 +262,8 @@ class ForkedShardExecutor:
     """Persistent forked workers, one command pipe each, merged replies.
 
     Workers are forked at plane construction (and per added shard), so
-    each child inherits its fully built deployment — keypools, accel
-    backends, the live ``fastpath`` configuration — by copy-on-write;
+    each child inherits its fully built deployment — keypools, the GMP
+    engine, the live ``fastpath`` configuration — by copy-on-write;
     nothing is re-constructed or pickled at spawn. See the module
     docstring for the determinism and crash-fallback arguments.
     """
@@ -531,24 +531,17 @@ class ForkedShardExecutor:
 
 def make_executor(
     plane: "ShardPlane",
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
+    parallel: bool = False,
+    workers: int = 0,
 ):
-    """Build the executor the knobs ask for, degrading gracefully.
+    """Build the executor the arguments ask for, degrading gracefully.
 
-    ``None`` values read the process-wide fast-path configuration
-    (``shard_parallel`` / ``shard_parallel_workers``). The forked
-    executor requires ``parallel`` on, ``workers > 0`` and a host with
-    the ``fork`` start method; anything else — including a fork failure
-    at construction — yields the serial executor, recording the
-    ``shard_parallel.unavailable`` fast-path statistic when parallelism
-    was requested but could not be delivered.
+    The forked executor requires ``parallel`` on, ``workers > 0`` and a
+    host with the ``fork`` start method; anything else — including a
+    fork failure at construction — yields the serial executor,
+    recording the ``shard_parallel.unavailable`` fast-path statistic
+    when parallelism was requested but could not be delivered.
     """
-    config = fastpath.config()
-    if parallel is None:
-        parallel = config.shard_parallel
-    if workers is None:
-        workers = config.shard_parallel_workers
     if parallel and workers > 0:
         if procpool.fork_available():
             try:

@@ -107,8 +107,8 @@ class ShardPlane:
         seed: int = 42,
         vnodes: int = DEFAULT_VNODES,
         telemetry_enabled: bool = False,
-        parallel: Optional[bool] = None,
-        parallel_workers: Optional[int] = None,
+        parallel: bool = False,
+        parallel_workers: int = 0,
         **cloud_kwargs,
     ):
         if num_shards < 1:
@@ -144,8 +144,7 @@ class ShardPlane:
         for index, name in enumerate(names):
             self.shards[name] = self._build_shard(name, index)
         #: executor running every shard command — serial in-process or
-        #: persistent forked workers (see :mod:`repro.shard.parallel`);
-        #: ``None`` knobs read the ``fastpath`` configuration
+        #: persistent forked workers (see :mod:`repro.shard.parallel`)
         self.executor = make_executor(self, parallel, parallel_workers)
 
     # ------------------------------------------------------------------

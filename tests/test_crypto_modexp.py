@@ -1,23 +1,17 @@
-"""Tests for the modexp ladder, the accelerated backend, the keygen
-farm, and the eager per-key precompute contract.
+"""Tests for the modexp engine and the eager per-key precompute contract.
 
-Every variant in the ladder must compute exactly ``pow(base, exp, mod)``
-— the fast paths are transcript-transparent by construction, and these
-tests are the construction's proof obligations.
+:mod:`repro.crypto.accel` picks the one engine every RSA and
+Miller-Rabin exponentiation runs on: GMP when ``libgmp`` loads and
+passes its self-test, built-in ``pow`` otherwise. Both must compute
+exactly ``pow(base, exp, mod)``, so each test here runs the GMP engine
+(when loadable) and the ``pow`` engine (``accel.AVAILABLE`` patched
+off) and requires identical results.
 """
 
 import pytest
 
-from repro.crypto import accel, fastpath, keygen_farm
+from repro.crypto import accel, fastpath
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.keypool import KeyPool
-from repro.crypto.modexp import (
-    WINDOW_BITS,
-    ExponentWindows,
-    MontgomeryContext,
-    powmod_montgomery,
-    powmod_window,
-)
 from repro.crypto.keys import RsaPrivateKey
 from repro.crypto.rsa import generate_keypair, private_op, public_op
 from repro.crypto.signatures import sign, verify
@@ -37,66 +31,23 @@ def _keypair(label="modexp"):
     return generate_keypair(HmacDrbg(SEED, label).fork("k"), KEY_BITS)
 
 
-# ----------------------------------------------------------------------
-# ExponentWindows / MontgomeryContext / window walks
-# ----------------------------------------------------------------------
+def _key_tuple(keypair):
+    private = keypair.private
+    return (private.n, private.d, private.p, private.q)
 
 
-class TestExponentWindows:
-    def test_digits_reassemble_exponent(self):
-        for exponent in (0, 1, 5, 31, 32, 65537, (1 << 200) + 12345):
-            windows = ExponentWindows(exponent)
-            value = 0
-            for digit in windows.digits:
-                value = (value << WINDOW_BITS) | digit
-            # only the top digit may be narrower; reassembly must match
-            # after accounting for its actual width
-            bits = exponent.bit_length()
-            top = bits % WINDOW_BITS or (WINDOW_BITS if bits else 0)
-            if windows.digits:
-                value = windows.digits[0]
-                for digit in windows.digits[1:]:
-                    value = (value << WINDOW_BITS) | digit
-                assert value == exponent
-                assert windows.digits[0].bit_length() <= top
-            else:
-                assert exponent == 0
+def _on_both_engines(monkeypatch, fn):
+    """``fn()`` on GMP (when loadable), then on ``pow``; both must agree.
 
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            ExponentWindows(-1)
-
-
-class TestModexpVariants:
-    MODULI = [3, 17, (1 << 61) - 1, (1 << 255) + 95]
-    CASES = [(0, 5), (1, 0), (2, 1), (7, 65537), (123456789, 987654321)]
-
-    def test_window_matches_pow(self):
-        for mod in self.MODULI:
-            for base, exp in self.CASES + [(mod - 1, mod - 2)]:
-                windows = ExponentWindows(exp)
-                assert powmod_window(base, mod, windows) == pow(base, exp, mod)
-
-    def test_montgomery_matches_pow(self):
-        for mod in self.MODULI:
-            if mod % 2 == 0:
-                continue
-            ctx = MontgomeryContext(mod)
-            for base, exp in self.CASES + [(mod - 1, mod - 2)]:
-                windows = ExponentWindows(exp)
-                assert ctx.powm(base % mod, windows) == pow(base, exp, mod)
-                assert powmod_montgomery(base % mod, ctx, windows) == pow(
-                    base, exp, mod
-                )
-
-    def test_montgomery_roundtrip(self):
-        ctx = MontgomeryContext((1 << 127) - 1)
-        for value in (0, 1, 2, (1 << 126) + 17):
-            assert ctx.from_mont(ctx.to_mont(value)) == value
-
-    def test_montgomery_requires_odd_modulus(self):
-        with pytest.raises(ValueError):
-            MontgomeryContext(100)
+    Returns the ``pow``-engine result. The test stays on the ``pow``
+    engine afterwards (monkeypatch restores GMP at teardown).
+    """
+    results = [fn()] if accel.AVAILABLE else []
+    monkeypatch.setattr(accel, "AVAILABLE", False)
+    reference = fn()
+    for result in results:
+        assert result == reference
+    return reference
 
 
 class TestAccelBackend:
@@ -125,139 +76,79 @@ class TestAccelBackend:
 
 
 # ----------------------------------------------------------------------
-# dispatch ladder: every configuration computes the same integers
+# GMP and pow compute the same integers and bytes
 # ----------------------------------------------------------------------
-
-DISPATCH_CONFIGS = [
-    {},
-    {"modexp_fixed_window": True},
-    {"modexp_montgomery": True},
-    {"accel_backend": True},
-    {"accel_backend": True, "modexp_montgomery": True},
-]
 
 
 class TestDispatchEquivalence:
-    def test_private_op_all_configs(self):
-        keypair = _keypair()
-        values = [0, 1, 2, keypair.public.n - 1, (1 << 300) % keypair.public.n]
-        with fastpath.overridden():
-            reference = [private_op(keypair.private, v) for v in values]
-        for overrides in DISPATCH_CONFIGS:
-            with fastpath.overridden(**overrides):
-                assert [
-                    private_op(keypair.private, v) for v in values
-                ] == reference, overrides
+    def test_private_op_all_configs(self, monkeypatch):
+        private = _keypair().private
+        values = [0, 1, 2, private.n - 1, (1 << 300) % private.n]
+        result = _on_both_engines(
+            monkeypatch, lambda: [private_op(private, v) for v in values]
+        )
+        assert result == [pow(v, private.d, private.n) for v in values]
 
-    def test_private_op_factorless_all_configs(self):
-        keypair = _keypair()
-        bare = RsaPrivateKey(n=keypair.private.n, d=keypair.private.d)
-        values = [0, 1, 2, keypair.public.n - 1]
-        with fastpath.overridden():
-            reference = [private_op(bare, v) for v in values]
-        for overrides in DISPATCH_CONFIGS:
-            with fastpath.overridden(**overrides):
-                assert [private_op(bare, v) for v in values] == reference
+    def test_private_op_factorless_all_configs(self, monkeypatch):
+        private = _keypair().private
+        bare = RsaPrivateKey(n=private.n, d=private.d)
+        values = [0, 1, 2, private.n - 1]
+        result = _on_both_engines(
+            monkeypatch, lambda: [private_op(bare, v) for v in values]
+        )
+        assert result == [private_op(private, v) for v in values]
 
-    def test_public_op_all_configs(self):
-        keypair = _keypair()
-        values = [0, 1, 2, keypair.public.n - 1]
-        with fastpath.overridden():
-            reference = [public_op(keypair.public, v) for v in values]
-        for overrides in DISPATCH_CONFIGS:
-            with fastpath.overridden(**overrides):
-                assert [public_op(keypair.public, v) for v in values] == (
-                    reference
-                )
+    def test_public_op_all_configs(self, monkeypatch):
+        public = _keypair().public
+        values = [0, 1, 2, public.n - 1]
+        result = _on_both_engines(
+            monkeypatch, lambda: [public_op(public, v) for v in values]
+        )
+        assert result == [pow(v, public.e, public.n) for v in values]
 
-    def test_sign_bytes_identical_across_configs(self):
+    def test_sign_bytes_identical_across_configs(self, monkeypatch):
         keypair = _keypair()
         message = {"vid": "vm-7", "nonce": b"n" * 16}
-        with fastpath.overridden():
-            reference = sign(keypair.private, message)
-        for overrides in DISPATCH_CONFIGS:
-            with fastpath.overridden(verify_memo=False, **overrides):
-                signature = sign(keypair.private, message)
-                assert signature == reference, overrides
-                verify(keypair.public, message, signature)  # raises on mismatch
 
-    def test_keygen_identical_with_accel(self):
-        with fastpath.overridden():
-            pure = generate_keypair(HmacDrbg(SEED, "kg").fork("a"), KEY_BITS)
-        with fastpath.overridden(accel_backend=True):
-            fast = generate_keypair(HmacDrbg(SEED, "kg").fork("a"), KEY_BITS)
-        assert _key_tuple(pure) == _key_tuple(fast)
+        def sign_and_verify():
+            signature = sign(keypair.private, message)
+            verify(keypair.public, message, signature)  # raises on mismatch
+            return signature
+
+        with fastpath.overridden(verify_memo=False):
+            _on_both_engines(monkeypatch, sign_and_verify)
+
+    def test_keygen_identical_with_accel(self, monkeypatch):
+        _on_both_engines(
+            monkeypatch,
+            lambda: _key_tuple(
+                generate_keypair(HmacDrbg(SEED, "kg").fork("a"), KEY_BITS)
+            ),
+        )
 
 
 # ----------------------------------------------------------------------
-# eager precompute (satellite: no lazy branch left on the hot path)
+# eager precompute (no lazy branch left on the hot path)
 # ----------------------------------------------------------------------
 
 
 class TestEagerPrecompute:
     def test_private_key_constants_present_after_construction(self):
-        keypair = _keypair("eager")
-        cached = vars(keypair.private)
-        # CRT cache plus both modexp-variant caches must already be
-        # materialised — the first sign must not pay a lazy branch
-        for attr in ("crt", "mont_crt", "windows_crt"):
-            assert attr in cached, f"{attr} not precomputed eagerly"
-        assert cached["crt"] is not None
-        ctx_p, ctx_q = cached["mont_crt"]
-        assert ctx_p.n == keypair.private.p
-        assert ctx_q.n == keypair.private.q
-        win_p, win_q = cached["windows_crt"]
-        assert win_p.exponent == cached["crt"][0]
-        assert win_q.exponent == cached["crt"][1]
+        private = _keypair("eager").private
+        cached = vars(private)
+        # the first sign must not pay a lazy branch
+        assert "crt" in cached, "crt not precomputed eagerly"
+        assert cached["crt"] == (
+            private.d % (private.p - 1),
+            private.d % (private.q - 1),
+            pow(private.q, -1, private.p),
+        )
 
     def test_factorless_key_precomputes_full_size_constants(self):
+        # without factors the raw op is one full-width exponentiation,
+        # which needs no constants; crt is still resolved (to None) at
+        # construction
         private = _keypair("eager2").private
         bare = RsaPrivateKey(n=private.n, d=private.d)
         cached = vars(bare)
-        assert cached.get("crt") is None
-        assert "mont_n" in cached and "windows_d" in cached
-        assert cached["mont_n"].n == bare.n
-        assert cached["windows_d"].exponent == bare.d
-
-
-# ----------------------------------------------------------------------
-# keygen farm determinism
-# ----------------------------------------------------------------------
-
-
-def _key_tuple(keypair):
-    private = keypair.private
-    return (private.n, private.d, private.p, private.q)
-
-
-def _pool_contents(n, **overrides):
-    with fastpath.overridden(key_pool=True, **overrides):
-        pool = KeyPool(HmacDrbg(SEED, "farm-pool"), KEY_BITS)
-        pool.prefill(n)
-        return [_key_tuple(pool.take()) for _ in range(n)]
-
-
-class TestKeygenFarm:
-    def test_farm_unavailable_is_graceful(self):
-        drbgs = [HmacDrbg(SEED, "farm").fork(str(i)) for i in range(2)]
-        keypairs = keygen_farm.generate_batch(drbgs, KEY_BITS, workers=1)
-        assert len(keypairs) == 2
-
-    def test_pool_contents_identical_serial_vs_farm(self):
-        serial = _pool_contents(4)
-        if not keygen_farm.available():
-            pytest.skip("no fork start method on this platform")
-        farm = _pool_contents(4, keygen_farm=True)
-        assert farm == serial
-
-    def test_pool_contents_identical_across_worker_counts(self):
-        if not keygen_farm.available():
-            pytest.skip("no fork start method on this platform")
-        one = _pool_contents(3, keygen_farm=True, keygen_farm_workers=1)
-        two = _pool_contents(3, keygen_farm=True, keygen_farm_workers=2)
-        assert one == two
-
-    def test_resolve_workers_clamps(self):
-        assert keygen_farm.resolve_workers(8, jobs=3) == 3
-        assert keygen_farm.resolve_workers(2, jobs=10) == 2
-        assert keygen_farm.resolve_workers(0, jobs=1) == 1
+        assert "crt" in cached and cached["crt"] is None

@@ -1,23 +1,23 @@
-"""The crypto fast paths must never change a protocol byte.
+"""The crypto fast paths and the modexp engine never change a protocol byte.
 
 The key pool, verification memo, subkey cache and wire-encoding cache
 all promise to be *transparent*: same seed, same transcripts, whether
-they are on or off. These tests pin that promise down by running the
-same scenario under both configurations and comparing everything
-observable — raw wire traffic (captured below the encryption layer, so
-every quote Q1/Q2/Q3, signature and certificate is covered), the
-customer-visible attestation response, and the attestation server's
-hash-chained audit log.
+they are on or off. So does the modexp engine (GMP or built-in
+``pow``). These tests pin that promise down by running the same
+scenario under each configuration and comparing everything observable —
+raw wire traffic (captured below the encryption layer, so every quote
+Q1/Q2/Q3, signature and certificate is covered), the customer-visible
+attestation response, and the attestation server's hash-chained audit
+log.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro import CloudMonatt, SecurityProperty
-from repro.crypto import fastpath
+from repro.common.errors import ConfigurationError
+from repro.crypto import accel, fastpath
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.encoding import encode
 from repro.crypto.keypool import KeyPool
@@ -32,27 +32,22 @@ KEY_BITS = 512
 SEED = 314
 
 
-def _run_attestation_round(fast_paths_on: bool, extra_overrides=None):
+def _run_attestation_round(fast_paths_on: bool):
     """Launch → attest → report under one fast-path configuration.
 
     Returns every observable artifact of the round: the raw wire
     transcript, the customer's verified response, and the audit log.
-    ``extra_overrides`` layers additional fast-path knobs (the modexp /
-    keygen matrix) on top of the enabled configuration.
     """
-    if fast_paths_on:
-        # exercise batching and an explicit prefill, not just pass-through
-        context = fastpath.overridden(
-            key_pool_batch=4, **(extra_overrides or {})
-        )
-    else:
-        context = fastpath.all_disabled()
+    context = (
+        fastpath.overridden() if fast_paths_on else fastpath.all_disabled()
+    )
     with context:
         clear_verify_memo()
         cloud = CloudMonatt(num_servers=1, seed=SEED, key_bits=KEY_BITS)
         tap = Eavesdropper()
         cloud.network.install_attacker(tap)
         if fast_paths_on:
+            # exercise an explicit prefill, not just pass-through
             server = next(iter(cloud.servers.values()))
             assert server.trust_module.key_pool is not None
             server.trust_module.key_pool.prefill(4)
@@ -103,9 +98,7 @@ class TestTranscriptEquivalence:
 def _run_fleet_round(fast_paths_on: bool):
     """Three overlapped rounds through the fleet pipeline's batch path."""
     context = (
-        fastpath.overridden(key_pool_batch=4)
-        if fast_paths_on
-        else fastpath.all_disabled()
+        fastpath.overridden() if fast_paths_on else fastpath.all_disabled()
     )
     with context:
         clear_verify_memo()
@@ -146,74 +139,54 @@ class TestFleetTranscriptEquivalence:
         assert optimized["audit_head"] == baseline["audit_head"]
 
 
-#: the crypto-floor knobs: every on/off combination must be
-#: transcript-transparent (ISSUE 8 satellite: the 2^4 matrix)
-MATRIX_KNOBS = (
-    "modexp_montgomery",
-    "modexp_fixed_window",
-    "keygen_farm",
-    "accel_backend",
-)
-
-_MATRIX_COMBOS = list(itertools.product((False, True), repeat=len(MATRIX_KNOBS)))
-
-
-def _combo_id(combo) -> str:
-    short = {"modexp_montgomery": "mont", "modexp_fixed_window": "win",
-             "keygen_farm": "farm", "accel_backend": "accel"}
-    on = [short[k] for k, v in zip(MATRIX_KNOBS, combo) if v]
-    return "+".join(on) or "none"
+@pytest.fixture(params=["gmp", "pow"])
+def engine(request, monkeypatch):
+    """Run the test on GMP (skipped when not loadable), then on ``pow``."""
+    if request.param == "gmp":
+        if not accel.AVAILABLE:
+            pytest.skip("libgmp is not loadable on this host")
+    else:
+        monkeypatch.setattr(accel, "AVAILABLE", False)
+    return request.param
 
 
-class TestModexpMatrixEquivalence:
-    """Montgomery × fixed-window × keygen-farm × accel backend.
+def _pool_keys():
+    pool = KeyPool(HmacDrbg(SEED, "engine-pool"), KEY_BITS)
+    pool.prefill(4)
+    return [
+        (kp.private.n, kp.private.d, kp.private.p, kp.private.q)
+        for kp in (pool.take() for _ in range(4))
+    ]
 
-    Each variant claims to compute the same integers as the ``pow``
-    baseline; here every one of the 16 combinations drives a complete
-    attestation round and must reproduce the disabled-path transcript
-    byte for byte, and fill a key pool with byte-identical keys.
+
+class TestEngineEquivalence:
+    """GMP and built-in ``pow`` produce the same protocol bytes.
+
+    The reference is the ``pow`` engine with every fast path off; each
+    engine, with the fast paths on, must reproduce its attestation
+    round and key-pool contents byte for byte.
     """
 
-    _baseline = None
-    _pool_baseline = None
+    _reference = None
 
     @classmethod
-    def _get_baseline(cls):
-        if cls._baseline is None:
-            cls._baseline = _run_attestation_round(fast_paths_on=False)
-        return cls._baseline
+    def _get_reference(cls, monkeypatch):
+        if cls._reference is None:
+            with monkeypatch.context() as patch:
+                patch.setattr(accel, "AVAILABLE", False)
+                cls._reference = (
+                    _run_attestation_round(fast_paths_on=False), _pool_keys()
+                )
+        return cls._reference
 
-    @classmethod
-    def _get_pool_baseline(cls):
-        if cls._pool_baseline is None:
-            disabled = {knob: False for knob in MATRIX_KNOBS}
-            with fastpath.overridden(key_pool=True, **disabled):
-                cls._pool_baseline = cls._pool_keys()
-        return cls._pool_baseline
-
-    @staticmethod
-    def _pool_keys():
-        pool = KeyPool(HmacDrbg(SEED, "matrix-pool"), KEY_BITS)
-        pool.prefill(4)
-        return [
-            (kp.private.n, kp.private.d, kp.private.p, kp.private.q)
-            for kp in (pool.take() for _ in range(4))
-        ]
-
-    @pytest.mark.parametrize("combo", _MATRIX_COMBOS, ids=_combo_id)
-    def test_transcripts_and_pool_identical(self, combo):
-        overrides = dict(zip(MATRIX_KNOBS, combo))
-        baseline = self._get_baseline()
-        result = _run_attestation_round(
-            fast_paths_on=True, extra_overrides=overrides
-        )
-        assert result["wire"] == baseline["wire"], overrides
-        assert result["response"] == baseline["response"], overrides
-        assert result["audit"] == baseline["audit"], overrides
-        assert result["audit_head"] == baseline["audit_head"], overrides
-        pool_baseline = self._get_pool_baseline()
-        with fastpath.overridden(key_pool=True, **overrides):
-            assert self._pool_keys() == pool_baseline, overrides
+    def test_transcripts_and_pool_identical(self, engine, monkeypatch):
+        round_reference, pool_reference = self._get_reference(monkeypatch)
+        result = _run_attestation_round(fast_paths_on=True)
+        assert result["wire"] == round_reference["wire"]
+        assert result["response"] == round_reference["response"]
+        assert result["audit"] == round_reference["audit"]
+        assert result["audit_head"] == round_reference["audit_head"]
+        assert _pool_keys() == pool_reference
 
 
 class TestKeyPoolDeterminism:
@@ -237,24 +210,15 @@ class TestKeyPoolDeterminism:
         assert pooled == lazy
 
     def test_on_demand_batch_matches_lazy_generation(self):
+        # an empty pool generating each session key on demand
         lazy = self._lazy_sessions(3)
-        with fastpath.overridden(key_pool=True, key_pool_batch=2):
+        with fastpath.overridden(key_pool=True):
             module = TrustModule(HmacDrbg(SEED, "tm"), key_bits=KEY_BITS)
-            batched = [
+            on_demand = [
                 (s.public.n, s.public.e)
                 for s in (module.new_attestation_session() for _ in range(3))
             ]
-        assert batched == lazy
-
-    def test_background_generation_matches_sync(self):
-        sync_pool = KeyPool(HmacDrbg(SEED, "pool"), KEY_BITS)
-        sync_pool.prefill(3)
-        sync_keys = [sync_pool.take().public.n for _ in range(3)]
-        with fastpath.overridden(key_pool_background=True):
-            bg_pool = KeyPool(HmacDrbg(SEED, "pool"), KEY_BITS)
-            bg_pool.prefill(3)
-            bg_keys = [bg_pool.take().public.n for _ in range(3)]
-        assert bg_keys == sync_keys
+        assert on_demand == lazy
 
     def test_pool_counters(self):
         telemetry = Telemetry(enabled=True)
@@ -296,11 +260,12 @@ class TestVerifyMemo:
                     verify(keypair.public, message, bytes(signature))
         assert "verify_memo.hit" not in fastpath.stats()
 
-    def test_memo_is_bounded(self):
+    def test_memo_is_bounded(self, monkeypatch):
         from repro.crypto import signatures
 
+        monkeypatch.setattr(signatures, "VERIFY_MEMO_SIZE", 4)
         keypair = generate_keypair(HmacDrbg(1, "memo"), bits=KEY_BITS)
-        with fastpath.overridden(verify_memo=True, verify_memo_size=4):
+        with fastpath.overridden(verify_memo=True):
             for index in range(8):
                 message = {"i": index}
                 verify(keypair.public, message, sign(keypair.private, message))
@@ -355,10 +320,41 @@ class TestPrimitiveCaches:
 
 
 def test_fastpath_configure_rejects_unknown_option():
-    from repro.common.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError):
         fastpath.configure(no_such_flag=True)
+
+
+#: options that existed before the modexp engine and the shard executor
+#: stopped being fast-path options; callers still naming them must fail
+#: cleanly
+DELETED_OPTIONS = (
+    "accel_backend", "modexp_montgomery", "modexp_fixed_window",
+    "keygen_farm", "keygen_farm_workers",
+    "key_pool_background", "key_pool_batch",
+    "shard_parallel", "shard_parallel_workers",
+    "verify_memo_size",
+)
+
+
+@pytest.mark.parametrize("name", DELETED_OPTIONS)
+def test_deleted_option_rejected_without_partial_apply(name):
+    before = fastpath.FastPathConfig(**vars(fastpath.config()))
+    with pytest.raises(ConfigurationError):
+        fastpath.configure(verify_memo=not before.verify_memo, **{name: 1})
+    assert fastpath.config() == before
+    with pytest.raises(ConfigurationError):
+        with fastpath.overridden(key_pool=not before.key_pool, **{name: 1}):
+            pass
+    assert fastpath.config() == before
+
+
+def test_config_has_exactly_the_four_fast_paths():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(fastpath.FastPathConfig)] == [
+        "key_pool", "verify_memo",
+        "cache_symmetric_subkeys", "cache_wire_encodings",
+    ]
 
 
 def test_all_disabled_restores_previous_config():
@@ -367,63 +363,3 @@ def test_all_disabled_restores_previous_config():
         assert fastpath.config().key_pool is False
         assert fastpath.config().verify_memo is False
     assert fastpath.config().key_pool is before
-
-
-class TestShardParallelKnob:
-    """The ``shard_parallel`` knobs ride the same configuration plane.
-
-    ISSUE 10: parallel shard execution is a fast path like any other —
-    off by default, coverable by ``all_disabled``, and transcript-
-    transparent when engaged (the full matrix lives in
-    ``tests/test_shard_parallel.py``; here the knob-driven plane's
-    fleet bytes are pinned against the serial default).
-    """
-
-    def test_knobs_default_off_and_all_disabled_covers_them(self):
-        assert fastpath.config().shard_parallel is False
-        assert fastpath.config().shard_parallel_workers == 0
-        with fastpath.overridden(shard_parallel=True,
-                                 shard_parallel_workers=3):
-            config = fastpath.config()
-            assert config.shard_parallel is True
-            assert config.shard_parallel_workers == 3
-            with fastpath.all_disabled():
-                assert fastpath.config().shard_parallel is False
-            assert fastpath.config().shard_parallel is True
-        assert fastpath.config().shard_parallel is False
-
-    def test_knob_driven_plane_matches_serial_bytes(self):
-        from repro.common import procpool
-        from repro.shard import ShardPlane
-
-        if not procpool.fork_available():
-            pytest.skip("requires the fork start method")
-
-        def fleet(plane):
-            with plane:
-                customer = plane.register_customer("alice")
-                launches = [
-                    customer.launch_vm(
-                        "small", "cirros",
-                        properties=[SecurityProperty.RUNTIME_INTEGRITY],
-                    )
-                    for _ in range(4)
-                ]
-                result = customer.attest_fleet([
-                    (l.vid, SecurityProperty.RUNTIME_INTEGRITY)
-                    for l in launches
-                ])
-                return (
-                    [encode(r.report.to_dict()) for r in result.results],
-                    result.root,
-                )
-
-        serial = fleet(ShardPlane(num_shards=2, seed=SEED,
-                                  num_servers=1, key_bits=KEY_BITS))
-        with fastpath.overridden(shard_parallel=True,
-                                 shard_parallel_workers=2):
-            knob_driven = ShardPlane(num_shards=2, seed=SEED,
-                                     num_servers=1, key_bits=KEY_BITS)
-            assert knob_driven.executor.mode == "parallel"
-            parallel = fleet(knob_driven)
-        assert parallel == serial

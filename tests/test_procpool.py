@@ -1,14 +1,10 @@
-"""The shared fork-pool plumbing under both of its consumers' shapes.
+"""The fork-based worker plumbing behind the parallel shard executor.
 
-:mod:`repro.common.procpool` backs the keygen farm's short-lived
-``map_forked`` batches and the shard executor's long-lived
+:mod:`repro.common.procpool` backs the shard executor's long-lived
 :class:`~repro.common.procpool.PersistentWorker` pipes. The promises
-pinned here: parallel maps return the serial results in the serial
-order; fork-less hosts degrade to the serial loop and invoke the
-fallback hook exactly once (which the keygen farm turns into the
-``keygen_farm.serial_fallback`` statistic); persistent workers resolve
-replies in any await order; and a dead worker surfaces as
-:class:`~repro.common.procpool.WorkerCrashError` rather than a hang.
+pinned here: persistent workers resolve replies in any await order; a
+dead worker surfaces as :class:`~repro.common.procpool.WorkerCrashError`
+rather than a hang; and fork-less hosts refuse to build a worker.
 """
 
 from __future__ import annotations
@@ -18,9 +14,6 @@ import os
 import pytest
 
 from repro.common import procpool
-from repro.crypto import fastpath
-from repro.crypto import keygen_farm
-from repro.crypto.drbg import HmacDrbg
 
 needs_fork = pytest.mark.skipif(
     not procpool.fork_available(), reason="requires the fork start method"
@@ -33,47 +26,6 @@ def _square(value: int) -> int:
 
 def _crash(_payload):
     os._exit(17)
-
-
-# ----------------------------------------------------------------------
-# map_forked
-# ----------------------------------------------------------------------
-
-class TestMapForked:
-    def test_empty_task_list(self):
-        assert procpool.map_forked(_square, []) == []
-
-    def test_serial_single_worker(self):
-        assert procpool.map_forked(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    @needs_fork
-    def test_parallel_matches_serial_in_order(self):
-        tasks = list(range(8))
-        serial = [_square(t) for t in tasks]
-        assert procpool.map_forked(_square, tasks, workers=2) == serial
-
-    def test_fallback_hook_fires_once_without_fork(self, monkeypatch):
-        monkeypatch.setattr(procpool, "fork_available", lambda: False)
-        calls = []
-        result = procpool.map_forked(
-            _square, [2, 3], workers=4, on_fallback=lambda: calls.append(1)
-        )
-        assert result == [4, 9]
-        assert calls == [1]
-
-    def test_single_worker_requests_skip_the_hook(self):
-        calls = []
-        procpool.map_forked(
-            _square, [2], workers=1, on_fallback=lambda: calls.append(1)
-        )
-        assert calls == []
-
-
-def test_resolve_workers_clamps_to_jobs():
-    assert procpool.resolve_workers(8, 3) == 3
-    assert procpool.resolve_workers(2, 8) == 2
-    assert procpool.resolve_workers(0, 4) >= 1  # CPU-count default
-    assert procpool.resolve_workers(4, 0) == 1  # never zero
 
 
 # ----------------------------------------------------------------------
@@ -122,35 +74,3 @@ def test_persistent_worker_requires_fork(monkeypatch):
     monkeypatch.setattr(procpool, "fork_available", lambda: False)
     with pytest.raises(procpool.WorkerCrashError):
         procpool.PersistentWorker(_square)
-
-
-# ----------------------------------------------------------------------
-# the keygen farm rides the shared plumbing
-# ----------------------------------------------------------------------
-
-class TestKeygenFarmFallback:
-    def test_forkless_batch_matches_serial_and_records(self, monkeypatch):
-        serial = [
-            (kp.private.n, kp.private.d)
-            for kp in keygen_farm.generate_batch(
-                [HmacDrbg(7, f"farm-{i}") for i in range(3)],
-                bits=512, workers=1,
-            )
-        ]
-        monkeypatch.setattr(procpool, "fork_available", lambda: False)
-        fastpath.reset_stats()
-        degraded = keygen_farm.generate_batch(
-            [HmacDrbg(7, f"farm-{i}") for i in range(3)],
-            bits=512, workers=4,
-        )
-        assert [(kp.private.n, kp.private.d) for kp in degraded] == serial
-        assert fastpath.stats().get("keygen_farm.serial_fallback") == 1
-
-    def test_farm_config_reports_host_shape(self):
-        config = keygen_farm.farm_config()
-        if procpool.fork_available():
-            assert config == {
-                "cpus": os.cpu_count() or 1, "start_method": "fork",
-            }
-        else:
-            assert config is None

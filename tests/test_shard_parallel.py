@@ -8,8 +8,8 @@ scheduler ticks, with and without injected network faults — under the
 serial executor and under 2- and 8-worker forked executors, and asserts
 byte-identical per-VM reports, cross-shard Merkle roots, policy
 statuses, flight records, alert logs and metric snapshots. The rest of
-the file pins the degradation ladder: knob-driven selection, workers=0
-and fork-less hosts falling back to serial (with the
+the file pins the degradation ladder: constructor-driven selection
+(serial by default), workers=0 and fork-less hosts falling back to serial (with the
 ``shard_parallel.unavailable`` statistic), a worker crash degrading the
 executor to ``serial-fallback`` mid-run without losing answers, and
 mid-run ``add_shard`` / ``remove_shard`` staying equivalent to serial.
@@ -187,20 +187,17 @@ class TestDeterminismMatrix:
 
 class TestExecutorSelection:
     @needs_fork
-    def test_fastpath_knobs_drive_the_executor(self):
-        with fastpath.overridden(shard_parallel=True,
-                                 shard_parallel_workers=2):
-            with _build_plane(workers=0, faults=False) as plane:
-                # workers=0 → parallel=False explicit argument wins
-                assert isinstance(plane.executor, SerialShardExecutor)
-            with ShardPlane(num_shards=2, seed=SEED, num_servers=1,
-                            key_bits=KEY_BITS) as plane:
-                # None knobs read the fast-path configuration
-                assert isinstance(plane.executor, ForkedShardExecutor)
-                assert plane.executor.mode == "parallel"
+    def test_constructor_arguments_drive_the_executor(self):
         with ShardPlane(num_shards=2, seed=SEED, num_servers=1,
                         key_bits=KEY_BITS) as plane:
+            # the default plane is the serial in-process plane
             assert isinstance(plane.executor, SerialShardExecutor)
+            assert plane.executor.mode == "serial"
+        with ShardPlane(num_shards=2, seed=SEED, num_servers=1,
+                        key_bits=KEY_BITS, parallel=True,
+                        parallel_workers=2) as plane:
+            assert isinstance(plane.executor, ForkedShardExecutor)
+            assert plane.executor.mode == "parallel"
 
     def test_workers_zero_request_is_serial(self):
         with ShardPlane(num_shards=2, seed=SEED, num_servers=1,

@@ -23,8 +23,8 @@ Fails (exit 1) if any fresh number drops more than ``--max-drop``
   the forked-executor throughput at the same cell
   (``n256.s4.parallel``) re-timed at the committed worker count;
 - ``BENCH_crypto_floor.json`` — three raw-speed floors at once:
-  accelerated sign ops/sec (``sign.accel``), farm prefill keys/sec
-  (``keygen.farm_auto``) and engine events/sec (``engine.events``);
+  default-engine sign ops/sec (``sign.accel``), default-engine prefill
+  keys/sec (``keygen.accel``) and engine events/sec (``engine.events``);
   ``--quick`` shrinks the sign/engine profiles but the bench keeps the
   keygen profile at full size (keys/sec over too few keys is noise).
 
@@ -152,8 +152,8 @@ GUARDS = {
         "module": "bench_crypto_floor",
         "metrics": [
             (("sign", "accel", "ops_per_sec"), "accelerated sign ops/sec"),
-            (("keygen", "farm_auto", "keys_per_sec"),
-             "farm prefill keys/sec"),
+            (("keygen", "accel", "keys_per_sec"),
+             "accelerated prefill keys/sec"),
             (("engine", "events", "ops_per_sec"), "engine events/sec"),
         ],
         "extra_args": _crypto_floor_args,
