@@ -151,8 +151,18 @@ class Engine:
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
-        """Schedule at an absolute simulation time (must not be in the past)."""
-        return self.schedule(time - self._now, callback, *args)
+        """Schedule at an absolute simulation time (must not be in the past).
+
+        The event fires at exactly ``time``: going through a delay would
+        land it at ``now + (time - now)``, which can be an ulp off.
+        """
+        if time < self._now:
+            raise StateError(f"cannot schedule into the past (time={time})")
+        event = _Event(time, callback, args)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (time, seq, event))
+        return EventHandle(event)
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a pending event. Cancelling twice is a no-op."""

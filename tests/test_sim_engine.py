@@ -46,6 +46,22 @@ class TestScheduling:
         engine.run()
         assert seen == [12.0]
 
+    def test_schedule_at_lands_exactly_on_time(self):
+        # 8.79 + (106.48 - 8.79) is 106.47999999999999: going through a
+        # delay would fire one ulp early
+        engine = Engine()
+        engine.run_until(8.79)
+        handle = engine.schedule_at(106.48, lambda: None)
+        assert handle.time == 106.48
+        engine.run()
+        assert engine.now == 106.48
+
+    def test_schedule_at_past_rejected(self):
+        engine = Engine()
+        engine.run_until(5.0)
+        with pytest.raises(StateError):
+            engine.schedule_at(4.9, lambda: None)
+
     def test_nested_scheduling(self):
         engine = Engine()
         fired = []
