@@ -9,32 +9,27 @@ from the paper's physical testbed by design — see DESIGN.md §2.
 from __future__ import annotations
 
 
-def print_table(title: str, headers: list[str], rows: list[list]) -> None:
-    """Render one paper-style results table to stdout."""
-    print(f"\n=== {title} ===")
+def format_table(title: str, headers: list[str], rows: list[list]) -> str:
+    """One paper-style results table as text, title line first."""
     widths = [
         max(len(str(headers[i])), *(len(str(row[i])) for row in rows))
         for i in range(len(headers))
     ]
     header_line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    print(header_line)
-    print("-" * len(header_line))
-    for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
+    lines = [f"=== {title} ===", header_line, "-" * len(header_line)]
+    lines += ["  ".join(str(cell).ljust(w) for cell, w in zip(row, widths))
+              for row in rows]
+    return "\n".join(lines)
 
 
-def print_telemetry_table(title: str, telemetry) -> None:
-    """Render a traced run's per-leg latency breakdown (simulated ms).
+def print_table(title: str, headers: list[str], rows: list[list]) -> None:
+    """Render one paper-style results table to stdout."""
+    print("\n" + format_table(title, headers, rows))
 
-    Consumes any :class:`repro.telemetry.Telemetry` hub and prints one
-    row per span name from the tracer's aggregate summary — the
-    protocol-leg view (Q1/Q2/Q3, appraisal, interpretation) that
-    complements the wall-clock numbers of the overhead bench.
-    """
-    from repro.telemetry import SUMMARY_HEADERS, summary_rows
 
-    rows = summary_rows(telemetry)
-    if not rows:
-        print(f"\n=== {title} ===\n(no spans recorded)")
-        return
-    print_table(title, SUMMARY_HEADERS, rows)
+def append_table(path: str, title: str, headers: list[str],
+                 rows: list[list]) -> None:
+    """Append one table to a text file such as ``bench_tables.txt``."""
+    with open(path, "a") as fh:
+        fh.write("\n" + format_table(title, headers, rows) + "\n")
+    print(f"appended table to {path}")

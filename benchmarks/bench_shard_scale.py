@@ -63,7 +63,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _tables import print_table  # noqa: E402
+from _tables import append_table, print_table  # noqa: E402
 
 from repro import SecurityProperty  # noqa: E402
 from repro.crypto.signatures import clear_verify_memo  # noqa: E402
@@ -461,16 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nwrote {args.out}")
 
     if args.tables:
-        with open(args.tables, "a") as fh:
-            fh.write(f"\n=== {title} ===\n")
-            widths = [max(len(str(headers[i])), *(len(str(r[i])) for r in rows))
-                      for i in range(len(headers))]
-            fh.write("  ".join(str(h).ljust(w)
-                               for h, w in zip(headers, widths)) + "\n")
-            for row in rows:
-                fh.write("  ".join(str(c).ljust(w)
-                                   for c, w in zip(row, widths)) + "\n")
-        print(f"appended table to {args.tables}")
+        append_table(args.tables, title, headers, rows)
 
     status = 0
     if args.min_speedup and top["speedup_vs_1shard"] < args.min_speedup:

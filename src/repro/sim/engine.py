@@ -23,7 +23,7 @@ Design notes:
   event, and the sequence counter is a plain int. At 10k-VM fleet scale
   the engine pushes through hundreds of thousands of events per
   simulated run, so per-event interpreter overhead is the ceiling
-  (``benchmarks/bench_crypto_floor.py`` tracks it).
+  (the engine-events rows of ``benchmarks/bench_paired.py`` track it).
 - Compaction rebuilds the queue **in place** (slice assignment), never
   rebinding ``self._queue`` — the run loops hold a local alias to the
   list, and a callback-triggered cancel may compact mid-run.

@@ -18,7 +18,7 @@ Three layers:
 
 Entities accept ``telemetry=`` and default to :data:`NULL_TELEMETRY`,
 whose instruments are no-ops — instrumentation costs <2% on the launch
-hot path (see ``benchmarks/bench_telemetry_overhead.py``) and exactly
+hot path (the ``telemetry`` row of ``benchmarks/bench_paired.py``) and exactly
 zero simulated time.
 """
 
