@@ -34,15 +34,14 @@ cover every row:
   only for reference.
 
 A single-arm section times each primitive once: handshake, keygen,
-pool take, verify (memo off, on both modexp engines), memo-hit verify,
-seal/open and engine events (plain and cancel-heavy). Sign and prefill
-are timed on both engines by their rows.
+pool take, cold verify (memo cleared inside each timed call, on both
+modexp engines), memo-hit verify, seal/open and engine events (plain
+and cancel-heavy). Sign and prefill are timed on both engines by their
+rows.
 
-The four ``*_off`` rows time one ``FastPathConfig`` field off (the other
-three on) against all four on; they carry no gate. The telemetry,
-observatory and resilience rows run at the simulation's default key
-size, like the Fig. 9 cells they time; every other row uses 1024-bit
-keys.
+The telemetry, observatory and resilience rows run at the simulation's
+default key size, like the Fig. 9 cells they time; every other row
+uses 1024-bit keys.
 
 Appends its tables to ``bench_tables.txt`` and exits 1 if any gate
 fails. A complete full-profile run writes ``BENCH_paired.json`` (with
@@ -67,7 +66,7 @@ import os
 import sys
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Callable, Optional
@@ -82,7 +81,7 @@ from bench_fig9_vm_launch import FLAVORS, IMAGES, cell_seed  # noqa: E402
 from repro import CloudMonatt, SecurityProperty  # noqa: E402
 from repro.common.identifiers import VmId  # noqa: E402
 from repro.common.rng import DeterministicRng  # noqa: E402
-from repro.crypto import accel, fastpath  # noqa: E402
+from repro.crypto import accel  # noqa: E402
 from repro.crypto.certificates import CertificateAuthority  # noqa: E402
 from repro.crypto.drbg import HmacDrbg  # noqa: E402
 from repro.crypto.keypool import KeyPool  # noqa: E402
@@ -110,9 +109,6 @@ PREFILL_KEYS = 16
 PROPERTY = SecurityProperty.RUNTIME_INTEGRITY
 MESSAGE = {"vid": "vm-1", "measurements": {"m": 1.0}, "nonce": b"x" * 16}
 CELLS = [(image, flavor) for image in IMAGES for flavor in FLAVORS]
-FIELDS = [f.name for f in fields(fastpath.FastPathConfig)]
-ALL_ON = {name: True for name in FIELDS}
-ALL_OFF = {name: False for name in FIELDS}
 MICRO_OPS = 20_000
 SAFETY_FACTOR = 2.0
 #: RetryExecutor.run wraps per attestation round: customer Q1 round,
@@ -220,22 +216,23 @@ def _engine(name: str):
 # ----------------------------------------------------------------------
 
 
-def _rounds_arm(**config):
-    """Single-VM attestation rounds under one fast-path configuration."""
+def _rounds_arm(prewarm: bool):
+    """Single-VM attestation rounds; without ``prewarm`` every round
+    generates its session key on demand from the empty pool."""
     @contextmanager
     def arm(profile: Profile, shared: dict):
-        with fastpath.overridden(**config):
-            clear_verify_memo()
-            cloud = CloudMonatt(num_servers=1, seed=SEED, key_bits=KEY_BITS)
+        clear_verify_memo()
+        cloud = CloudMonatt(num_servers=1, seed=SEED, key_bits=KEY_BITS)
+        if prewarm:
             # launch + warm-up + timed rounds, one session key each
             cloud.prewarm_for_fleet(profile.rounds + 4)
-            customer = cloud.register_customer("alice")
-            vm = customer.launch_vm("small", "ubuntu", properties=[PROPERTY])
-            customer.attest(vm.vid, PROPERTY)  # warm up
-            yield lambda: (profile.rounds, [
-                customer.attest(vm.vid, PROPERTY).report
-                for _ in range(profile.rounds)
-            ])
+        customer = cloud.register_customer("alice")
+        vm = customer.launch_vm("small", "ubuntu", properties=[PROPERTY])
+        customer.attest(vm.vid, PROPERTY)  # warm up
+        yield lambda: (profile.rounds, [
+            customer.attest(vm.vid, PROPERTY).report
+            for _ in range(profile.rounds)
+        ])
     return arm
 
 
@@ -643,8 +640,8 @@ class Row:
 OVERHEAD_2PCT = Gate(at_least=False, full=0.02, quick=0.02)
 
 ROWS = [
-    Row("pooled", ("unpooled, uncached", _rounds_arm(**ALL_OFF)),
-        ("pooled + caches", _rounds_arm(**ALL_ON)),
+    Row("pooled", ("on-demand keygen", _rounds_arm(prewarm=False)),
+        ("prewarmed key pool", _rounds_arm(prewarm=True)),
         speedup, Gate(True, 5.0, 1.0)),
     Row("fleet", ("serial attest() per VM", _fleet_arm(batched=False)),
         ("attest_fleet() pipeline", _fleet_arm(batched=True)),
@@ -679,11 +676,6 @@ ROWS = [
         ("default retry policy", _resilience_arm("default")),
         op_cost_bound(_resilience_costs, _resilience_counts), OVERHEAD_2PCT,
         pairs=(30, 30)),
-] + [
-    Row(f"{name}_off", ("all four fast paths on", _rounds_arm(**ALL_ON)),
-        (f"{name} off", _rounds_arm(**{**ALL_ON, name: False})),
-        pair_overhead, pairs=(9, 1))
-    for name in FIELDS
 ]
 ROW_NAMES = [row.name for row in ROWS] + ["throughput"]
 
@@ -779,8 +771,8 @@ THROUGHPUT_LABELS = {
     "handshake": "channel handshake + call",
     "keygen": "RSA keypair generation",
     "pool_take": "key pool take (prefilled)",
-    "verify_pow": "RSA verify, memo off (pow)",
-    "verify_accel": "RSA verify, memo off (GMP)",
+    "verify_pow": "RSA verify, cold memo (pow)",
+    "verify_accel": "RSA verify, cold memo (GMP)",
     "verify_memo_hit": "RSA verify (memo hit)",
     "seal": "record seal (512 B)",
     "open": "record open (512 B)",
@@ -804,6 +796,10 @@ def run_throughput(profile: Profile) -> dict:
     def check() -> None:
         verify(public, MESSAGE, signature)
 
+    def cold_check() -> None:
+        clear_verify_memo()
+        check()
+
     results = {
         "handshake": _timed(_handshake_op(), profile.rounds),
         "keygen": _timed(lambda: generate_keypair(
@@ -811,8 +807,7 @@ def run_throughput(profile: Profile) -> dict:
         "pool_take": _timed(pool.take, profile.keygen_keys),
     }
     for engine in ("pow", "accel"):
-        results[f"verify_{engine}"] = _timed(
-            check, n, _engine(engine), fastpath.overridden(verify_memo=False))
+        results[f"verify_{engine}"] = _timed(cold_check, n, _engine(engine))
     clear_verify_memo()
     check()  # warm the memo
     results["verify_memo_hit"] = _timed(check, n)

@@ -7,9 +7,8 @@ module holds that plumbing: start-method detection
 (:class:`PersistentWorker`).
 
 Everything is built on the ``fork`` start method on purpose: forked
-children inherit the parent's live state (the ``fastpath``
-configuration, fully-constructed shard deployments, the loaded GMP
-engine) by copy-on-write, so no argument pickling or re-construction
+children inherit the parent's live state (the warm verification
+memo, fully-constructed shard deployments, the loaded GMP engine) by copy-on-write, so no argument pickling or re-construction
 happens at spawn time. Where ``fork`` is unavailable (non-POSIX
 platforms), the executor degrades to its serial in-process path — same
 bytes, no processes.

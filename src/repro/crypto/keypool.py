@@ -5,10 +5,10 @@ attestation round (paper §3.4.2, Fig. 9) — a Miller-Rabin loop in pure
 Python on the protocol's critical path. The pool moves that loop off
 the hot path without changing a single protocol byte:
 
-**Determinism contract.** The pool draws each keypair from *exactly*
-the DRBG fork stream the Trust Module would otherwise fork lazily
-(``attest-session-{i}``, ``i`` counting from 1), and forks those
-streams in strictly increasing ``i`` order on the caller's thread.
+**Determinism contract.** The pool draws session *i*'s keypair from the
+DRBG fork stream ``attest-session-{i}`` (``i`` counting from 1), and
+forks those streams in strictly increasing ``i`` order on the caller's
+thread, whether it pre-generates a key or generates it on demand.
 Because :meth:`HmacDrbg.fork` advances the parent state, fork *order*
 is what fixes the key material — and pop order equals session order, so
 session *i* receives the identical keypair whether the pool

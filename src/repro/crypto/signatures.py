@@ -14,7 +14,8 @@ verifications are memoised under that full key in a bounded LRU. The memo
 may cache only *successes*: a failure must re-raise through the full code
 path every time, both so the error message always reflects the actual
 mismatch and so a negative result can never be consulted for a different
-(digest, signature) pair. Gated by ``fastpath.config().verify_memo``.
+(digest, signature) pair. The memo is always on; hits and misses are
+counted as ``verify_memo.*`` in :func:`repro.crypto.fastpath.stats`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _VERIFY_MEMO: OrderedDict[tuple[int, int, bytes, bytes], None] = OrderedDict()
 
 
 def clear_verify_memo() -> None:
-    """Drop all memoised verifications (reconfiguration / test bookends)."""
+    """Drop all memoised verifications (cold-verify timing, test bookends)."""
     _VERIFY_MEMO.clear()
 
 
@@ -79,9 +80,8 @@ def verify(key: RsaPublicKey, message: Any, signature: bytes) -> None:
     if value >= key.n:
         raise SignatureError("signature out of range")
     digest = sha256(message)
-    memo_enabled = fastpath.config().verify_memo
     memo_key = (key.n, key.e, digest, signature)
-    if memo_enabled and memo_key in _VERIFY_MEMO:
+    if memo_key in _VERIFY_MEMO:
         _VERIFY_MEMO.move_to_end(memo_key)
         fastpath.record("verify_memo.hit")
         return
@@ -89,11 +89,10 @@ def verify(key: RsaPublicKey, message: Any, signature: bytes) -> None:
     recovered = public_op(key, value)
     if recovered != expected:
         raise SignatureError("signature verification failed")
-    if memo_enabled:
-        fastpath.record("verify_memo.miss")
-        _VERIFY_MEMO[memo_key] = None
-        if len(_VERIFY_MEMO) > VERIFY_MEMO_SIZE:
-            _VERIFY_MEMO.popitem(last=False)
+    fastpath.record("verify_memo.miss")
+    _VERIFY_MEMO[memo_key] = None
+    if len(_VERIFY_MEMO) > VERIFY_MEMO_SIZE:
+        _VERIFY_MEMO.popitem(last=False)
 
 
 def is_valid(key: RsaPublicKey, message: Any, signature: bytes) -> bool:

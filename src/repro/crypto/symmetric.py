@@ -5,7 +5,9 @@ symmetric session keys (Kx, Ky, Kz). We build an authenticated cipher from
 HMAC-SHA256 alone:
 
 - **Keystream**: ``HMAC(enc_key, nonce || counter)`` blocks XORed over the
-  plaintext (a counter-mode stream cipher).
+  plaintext (a counter-mode stream cipher). Each block is one one-shot
+  ``hmac.digest`` call, and the XOR is a single big-integer operation
+  over the whole message.
 - **Integrity**: encrypt-then-MAC with an independent MAC key; the tag
   covers nonce and ciphertext, so truncation, bit flips and nonce swaps
   are all rejected.
@@ -16,12 +18,10 @@ single 32-byte session key is all the handshake must agree on.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import CryptoError
-from repro.crypto import fastpath
 from repro.crypto.kdf import hkdf
 
 _MAC_SIZE = 32
@@ -33,49 +33,33 @@ _BLOCK = 32
 class SymmetricKey:
     """A 32-byte symmetric session key with derived enc/MAC subkeys.
 
-    The HKDF derivations are pure functions of ``material``, so they are
-    cached per instance (every record seal/open needs both; re-deriving
-    them dominated the record layer before the cache). The cache lives
-    in the instance ``__dict__`` — a frozen dataclass only blocks
-    ``__setattr__``, not direct dict writes.
+    Both HKDF subkeys are derived once, at construction: every record
+    seal/open needs both, and a session key exists only once a
+    handshake has agreed on it.
     """
 
     material: bytes
+    #: subkey for the keystream
+    enc_key: bytes = field(init=False, repr=False, compare=False)
+    #: subkey for the authentication tag
+    mac_key: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.material) != 32:
             raise CryptoError("session keys must be 32 bytes")
-
-    def _derived(self, attr: str, info: bytes) -> bytes:
-        cached = self.__dict__.get(attr)
-        if cached is not None:
-            return cached
-        subkey = hkdf(self.material, info, 32)
-        if fastpath.config().cache_symmetric_subkeys:
-            self.__dict__[attr] = subkey
-        return subkey
-
-    @property
-    def enc_key(self) -> bytes:
-        """Subkey for the keystream."""
-        return self._derived("_enc_key", b"enc")
-
-    @property
-    def mac_key(self) -> bytes:
-        """Subkey for the authentication tag."""
-        return self._derived("_mac_key", b"mac")
+        object.__setattr__(self, "enc_key", hkdf(self.material, b"enc", 32))
+        object.__setattr__(self, "mac_key", hkdf(self.material, b"mac", 32))
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    stream = b""
-    counter = 0
-    while len(stream) < length:
-        block = hmac.new(
-            key, nonce + counter.to_bytes(8, "big"), hashlib.sha256
-        ).digest()
-        stream += block
-        counter += 1
-    return stream[:length]
+def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """``data`` XOR the first ``len(data)`` keystream bytes."""
+    length = len(data)
+    stream = b"".join([
+        hmac.digest(key, nonce + counter.to_bytes(8, "big"), "sha256")
+        for counter in range(-(-length // _BLOCK))
+    ])[:length]
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(length, "big")
 
 
 def seal(key: SymmetricKey, plaintext: bytes, nonce: bytes) -> bytes:
@@ -87,10 +71,8 @@ def seal(key: SymmetricKey, plaintext: bytes, nonce: bytes) -> bytes:
     """
     if len(nonce) != _NONCE_SIZE:
         raise CryptoError(f"nonce must be {_NONCE_SIZE} bytes")
-    ciphertext = bytes(
-        a ^ b for a, b in zip(plaintext, _keystream(key.enc_key, nonce, len(plaintext)))
-    )
-    tag = hmac.new(key.mac_key, nonce + ciphertext, hashlib.sha256).digest()
+    ciphertext = _xor_keystream(key.enc_key, nonce, plaintext)
+    tag = hmac.digest(key.mac_key, nonce + ciphertext, "sha256")
     return nonce + ciphertext + tag
 
 
@@ -101,9 +83,7 @@ def open_sealed(key: SymmetricKey, sealed: bytes) -> bytes:
     nonce = sealed[:_NONCE_SIZE]
     ciphertext = sealed[_NONCE_SIZE:-_MAC_SIZE]
     tag = sealed[-_MAC_SIZE:]
-    expected = hmac.new(key.mac_key, nonce + ciphertext, hashlib.sha256).digest()
+    expected = hmac.digest(key.mac_key, nonce + ciphertext, "sha256")
     if not hmac.compare_digest(tag, expected):
         raise CryptoError("authentication tag mismatch: message tampered")
-    return bytes(
-        a ^ b for a, b in zip(ciphertext, _keystream(key.enc_key, nonce, len(ciphertext)))
-    )
+    return _xor_keystream(key.enc_key, nonce, ciphertext)

@@ -39,7 +39,6 @@ from repro.crypto.certificates import (
     certificate_from_dict,
     certificate_to_dict,
 )
-from repro.crypto import fastpath
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.encoding import decode, encode
 from repro.crypto.encryption import private_decrypt, public_encrypt
@@ -51,10 +50,6 @@ from repro.crypto.signatures import sign, verify
 from repro.crypto.symmetric import SymmetricKey, open_sealed, seal
 from repro.network.network import Network
 from repro.telemetry import NULL_TELEMETRY, SPAN_HANDSHAKE, Telemetry
-
-
-_cert_to_dict = certificate_to_dict
-_cert_from_dict = certificate_from_dict
 
 
 @dataclass
@@ -106,15 +101,9 @@ class SecureEndpoint:
         self._handshake_counts: dict[str, int] = {}
         # the endpoint's own certificate never changes: encode it (and
         # the hello-ack frame that carries it) once instead of per
-        # handshake — certificate serialization was a measurable slice
-        # of channel establishment
-        self._cert_dict: Optional[dict] = None
-        self._hello_ack_wire: Optional[bytes] = None
-        if fastpath.config().cache_wire_encodings:
-            self._cert_dict = _cert_to_dict(self.certificate)
-            self._hello_ack_wire = encode(
-                {"t": "hello-ack", "cert": self._cert_dict}
-            )
+        # handshake
+        self._cert_dict = certificate_to_dict(self.certificate)
+        self._hello_ack_wire = encode({"t": "hello-ack", "cert": self._cert_dict})
         self.handler: Optional[Callable[[str, dict], dict]] = None
         network.register(name, self._on_wire)
 
@@ -225,7 +214,7 @@ class SecureEndpoint:
             self.name, peer, encode({"t": "hello", "from": self.name})
         )
         hello = self._expect(decode(hello_wire), "hello-ack")
-        peer_cert = _cert_from_dict(hello["cert"])
+        peer_cert = certificate_from_dict(hello["cert"])
         self._check_cert(peer_cert, expected_subject=peer)
         enc_seed = public_encrypt(
             peer_cert.public_key, seed, self._drbg.fork(f"pad-{peer}")
@@ -234,7 +223,7 @@ class SecureEndpoint:
             "from": self.name,
             "to": peer,
             "enc_seed": enc_seed,
-            "initiator_cert": self._cert_dict or _cert_to_dict(self.certificate),
+            "initiator_cert": self._cert_dict,
         }
         hs1 = {
             "t": "hs1",
@@ -260,11 +249,7 @@ class SecureEndpoint:
             raise RecordError("malformed wire message")
         msg_type = message["t"]
         if msg_type == "hello":
-            if self._hello_ack_wire is not None:
-                return self._hello_ack_wire
-            return encode(
-                {"t": "hello-ack", "cert": _cert_to_dict(self.certificate)}
-            )
+            return self._hello_ack_wire
         if msg_type == "hs1":
             return self._accept_handshake(message)
         if msg_type == "data":
@@ -275,7 +260,7 @@ class SecureEndpoint:
         transcript = message["transcript"]
         if transcript["to"] != self.name:
             raise ProtocolError("handshake addressed to a different endpoint")
-        initiator_cert = _cert_from_dict(transcript["initiator_cert"])
+        initiator_cert = certificate_from_dict(transcript["initiator_cert"])
         self._check_cert(initiator_cert)
         verify(initiator_cert.public_key, transcript, bytes(message["sig"]))
         seed = private_decrypt(self._keypair.private, bytes(transcript["enc_seed"]))

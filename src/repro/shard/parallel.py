@@ -263,7 +263,7 @@ class ForkedShardExecutor:
 
     Workers are forked at plane construction (and per added shard), so
     each child inherits its fully built deployment — keypools, the GMP
-    engine, the live ``fastpath`` configuration — by copy-on-write;
+    engine, the warm verification memo — by copy-on-write;
     nothing is re-constructed or pickled at spawn. See the module
     docstring for the determinism and crash-fallback arguments.
     """

@@ -23,7 +23,6 @@ from typing import Any, Optional
 
 from repro.common.errors import StateError
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.crypto import fastpath
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.keypool import KeyPool
 from repro.crypto.keys import KeyPair, RsaPublicKey
@@ -62,24 +61,17 @@ class TrustModule:
         key_bits: int = 1024,
         telemetry: Optional[Telemetry] = None,
     ):
-        self._drbg = drbg
-        self._key_bits = key_bits
         self.telemetry = telemetry or NULL_TELEMETRY
         self._identity: KeyPair = generate_keypair(drbg.fork("identity"), key_bits)
         self.nonce_generator = NonceGenerator(drbg.fork("nonces"))
         self.tpm = TpmEmulator(drbg.fork("tpm"), key_bits=key_bits)
         self._registers: list[float] = [0.0] * NUM_EVIDENCE_REGISTERS
         self._evidence: dict[str, Any] = {}
-        self._session_counter = 0
-        #: pre-generates the ``attest-session-{i}`` keypairs from the
-        #: same DRBG fork streams the lazy path uses; ``None`` when the
-        #: fast path is disabled. Nothing else may fork ``self._drbg``
-        #: after construction — the pool owns its fork order.
-        self.key_pool: Optional[KeyPool] = None
-        if fastpath.config().key_pool:
-            self.key_pool = KeyPool(
-                drbg, key_bits, telemetry=self.telemetry
-            )
+        #: hands out the ``attest-session-{i}`` keypairs in session
+        #: order: pre-generated ones first, then on demand from the same
+        #: DRBG fork streams. Nothing else may fork ``drbg`` after
+        #: construction — the pool owns its fork order.
+        self.key_pool = KeyPool(drbg, key_bits, telemetry=self.telemetry)
 
     # ------------------------------------------------------------------
     # identity and attestation keys
@@ -97,15 +89,8 @@ class TrustModule:
         attestations to a server (and thus locating a victim VM for
         co-location attacks, the risk the paper cites from [31]).
         """
-        self._session_counter += 1
         self.telemetry.counter("tpm.attestation_sessions").inc()
-        if self.key_pool is not None:
-            keypair = self.key_pool.take()
-        else:
-            keypair = generate_keypair(
-                self._drbg.fork(f"attest-session-{self._session_counter}"),
-                self._key_bits,
-            )
+        keypair = self.key_pool.take()
         endorsement = sign(self._identity.private, keypair.public.to_dict())
         return AttestationSession(keypair=keypair, endorsement=endorsement)
 
@@ -117,12 +102,10 @@ class TrustModule:
         """Pre-generate session keypairs for ``count`` expected rounds.
 
         The fleet pipeline calls this with its expected session count so
-        batch drains never stall on Miller-Rabin keygen. A no-op (returns
-        0) when the key-pool fast path is disabled — the lazy fork path
-        stays byte-identical either way.
+        batch drains never stall on Miller-Rabin keygen. Returns the
+        number of keys generated; session *i* gets the same keypair
+        either way.
         """
-        if self.key_pool is None:
-            return 0
         needed = count - self.key_pool.available
         if needed <= 0:
             return 0

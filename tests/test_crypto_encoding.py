@@ -1,5 +1,7 @@
 """Tests for canonical encoding: determinism, injectivity, round-trips."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -96,8 +98,6 @@ class TestErrors:
             decode(b"Z")
 
     def test_invalid_utf8_string_rejected(self):
-        import struct
-
         blob = b"S" + struct.pack(">I", 1) + b"\x80"
         with pytest.raises(CryptoError):
             decode(blob)
@@ -109,3 +109,60 @@ class TestErrors:
         blob = encode(value)
         with pytest.raises(CryptoError):
             decode(blob)
+
+
+def _tlv(tag: bytes, payload: bytes) -> bytes:
+    return tag + struct.pack(">I", len(payload)) + payload
+
+
+def _key(name: str) -> bytes:
+    return _tlv(b"S", name.encode())
+
+
+class TestNonCanonicalRejected:
+    """The decoder accepts only what :func:`encode` produces."""
+
+    def test_unsorted_dict_keys_rejected(self):
+        blob = _tlv(b"M", _key("b") + b"T" + _key("a") + b"F")
+        with pytest.raises(CryptoError, match="strictly increasing"):
+            decode(blob)
+
+    def test_duplicate_dict_key_rejected(self):
+        # a duplicate must not silently overwrite the first value
+        blob = _tlv(b"M", _key("a") + b"T" + _key("a") + b"F")
+        with pytest.raises(CryptoError, match="strictly increasing"):
+            decode(blob)
+
+    @pytest.mark.parametrize("payload", [b"\x00\x00\x00\x05", b"\x05", b""])
+    def test_non_minimal_int_payload_rejected(self, payload):
+        assert encode(5) == _tlv(b"I", b"\x00\x05")
+        with pytest.raises(CryptoError, match="minimal-length"):
+            decode(_tlv(b"I", payload))
+
+
+# Raw TLV blobs, canonical or not: random int payloads, floats from any
+# 8 bytes, strings that may not be UTF-8, dicts whose keys come in any
+# order and may repeat.
+raw_blobs = st.recursive(
+    st.sampled_from([b"N", b"T", b"F"])
+    | st.binary(max_size=4).map(lambda raw: _tlv(b"I", raw))
+    | st.binary(min_size=8, max_size=8).map(lambda raw: b"D" + raw)
+    | st.binary(max_size=6).map(lambda raw: _tlv(b"S", raw))
+    | st.binary(max_size=6).map(lambda raw: _tlv(b"B", raw)),
+    lambda children: st.lists(children, max_size=4).map(
+        lambda items: _tlv(b"L", b"".join(items)))
+    | st.lists(
+        st.tuples(st.sampled_from(["", "a", "b", "ab"]), children), max_size=4,
+    ).map(lambda pairs: _tlv(
+        b"M", b"".join(_key(name) + item for name, item in pairs))),
+    max_leaves=12,
+)
+
+
+@given(raw_blobs)
+def test_every_accepted_blob_is_canonical(blob):
+    try:
+        value = decode(blob)
+    except CryptoError:
+        return
+    assert encode(value) == blob
