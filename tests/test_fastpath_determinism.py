@@ -1,9 +1,12 @@
 """The crypto caches and the modexp engine never change a protocol byte.
 
 The key pool and the verification memo are always on, so there is no
-"off" side to compare a transcript against: ``tests/test_wire_golden.py``
-pins the round and fleet transcripts instead. What stays here:
+switch to turn them off; ``tests/test_wire_golden.py`` pins the round
+and fleet transcripts. What stays here:
 
+- a round with a prefilled key pool and a warm verification memo has
+  the same transcript as one with every key generated on demand and
+  every signature verified from scratch;
 - GMP and built-in ``pow`` reproduce the same attestation round and key
   pool contents;
 - the key pool hands session *i* the keypair forked on demand from
@@ -78,6 +81,33 @@ class TestEngineEquivalence:
         assert result["audit"] == round_reference["audit"]
         assert result["audit_head"] == round_reference["audit_head"]
         assert _pool_keys() == pool_reference
+
+
+class TestTranscriptEquivalence:
+    def test_fast_paths_change_no_protocol_bytes(self):
+        # slowest side: every session key generated on demand, every
+        # signature verified from scratch
+        baseline = run_attestation_round(prefill=0, cold_memo=True)
+        # fastest side: pre-generated keys, and the memo still holds the
+        # baseline's verifications of the same signatures
+        hits_before = fastpath.stats().get("verify_memo.hit", 0)
+        optimized = run_attestation_round(prefill=4, cold_memo=False)
+        assert fastpath.stats().get("verify_memo.hit", 0) > hits_before
+        # every wire crossing, byte for byte: covers the Q1/Q2/Q3
+        # quotes, all signatures and certificates of the round
+        assert optimized["wire"] == baseline["wire"]
+        assert optimized["response"] == baseline["response"]
+        assert optimized["report_healthy"] == baseline["report_healthy"]
+        assert optimized["audit"] == baseline["audit"]
+        assert optimized["audit_head"] == baseline["audit_head"]
+
+    def test_disabled_round_is_self_consistent(self):
+        # the on-demand, cold-memo round twice -> identical transcripts
+        # (sanity check that the comparison above cannot pass vacuously)
+        first = run_attestation_round(prefill=0, cold_memo=True)
+        second = run_attestation_round(prefill=0, cold_memo=True)
+        assert first["wire"] == second["wire"]
+        assert len(first["wire"]) > 10
 
 
 class TestKeyPoolDeterminism:

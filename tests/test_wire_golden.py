@@ -75,19 +75,23 @@ def _wire(tap: Eavesdropper) -> list:
     ]
 
 
-def run_attestation_round() -> dict:
-    """Launch -> attest -> report on one server, with a prefilled key pool.
+def run_attestation_round(prefill: int = 4, cold_memo: bool = True) -> dict:
+    """Launch -> attest -> report on one server.
 
-    Returns every observable artifact of the round: the raw wire
-    transcript, the customer's encoded response, the report verdict and
-    the audit log.
+    ``prefill`` session keypairs are generated into the key pool before
+    the round (0: every key is generated on demand); ``cold_memo``
+    clears the verification memo first. Returns every observable
+    artifact of the round: the raw wire transcript, the customer's
+    encoded response, the report verdict and the audit log.
     """
-    clear_verify_memo()
+    if cold_memo:
+        clear_verify_memo()
     cloud = CloudMonatt(num_servers=1, seed=SEED, key_bits=KEY_BITS)
     tap = Eavesdropper()
     cloud.network.install_attacker(tap)
     server = next(iter(cloud.servers.values()))
-    server.trust_module.key_pool.prefill(4)
+    if prefill:
+        server.trust_module.key_pool.prefill(prefill)
     customer = cloud.register_customer("alice")
     vm = customer.launch_vm(
         "small", "ubuntu", properties=[SecurityProperty.RUNTIME_INTEGRITY],
