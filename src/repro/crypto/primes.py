@@ -10,10 +10,12 @@ Performance notes (the crypto-floor PR):
   primes instead of 46 separate trial divisions — mathematically the
   same accept/reject set, so the DRBG draw sequence (and therefore
   every generated key) is unchanged.
-- Each Miller-Rabin witness round is one :func:`accel.mr_witness_passes`
-  call (GMP when loadable, ``pow`` otherwise; bit-exact either way).
-  Keygen is ~40 half-width modexps per key, so this is where the
-  key-generation floor actually moves.
+- The whole Miller-Rabin test of a candidate is one
+  :func:`accel.mr_passes` call (one GMP loop when loadable, ``pow``
+  otherwise; bit-exact either way). It takes each witness base from a
+  DRBG draw made only after the previous round passed. A sieved
+  composite almost always fails its first round; a 256-bit prime runs
+  all 24, so a 512-bit session key is about 85 witness rounds.
 - Base selection stays DRBG-drawn and the round count stays fixed:
   both are part of the determinism contract — skipping or reordering a
   draw would shift the stream and change every subsequent key.
@@ -56,11 +58,10 @@ def is_probable_prime(n: int, drbg: HmacDrbg, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
-        a = 2 + drbg.randint_below(n - 3)
-        if not accel.mr_witness_passes(a, d, n, r):
-            return False
-    return True
+    span = n - 3
+    return accel.mr_passes(
+        n, d, r, rounds, lambda: 2 + drbg.randint_below(span)
+    )
 
 
 def generate_prime(bits: int, drbg: HmacDrbg) -> int:
