@@ -1,9 +1,10 @@
 """Deterministic pre-generation of attestation session keypairs.
 
 Per-session key generation {AVKs, ASKs} is the dominant cost of every
-attestation round (paper §3.4.2, Fig. 9) — a Miller-Rabin loop in pure
-Python on the protocol's critical path. The pool moves that loop off
-the hot path without changing a single protocol byte:
+attestation round (paper §3.4.2, Fig. 9) — a prime search on the
+protocol's critical path: a few hundred DRBG draws and about 85
+Miller-Rabin witness rounds per 512-bit key. The pool moves that search
+off the hot path without changing a single protocol byte:
 
 **Determinism contract.** The pool draws session *i*'s keypair from the
 DRBG fork stream ``attest-session-{i}`` (``i`` counting from 1), and

@@ -135,3 +135,37 @@ def test_record_takes_each_guarded_row_from_its_median_run(
     for path, label in guard.PAIRED_METRICS:
         assert recorded["results"][path[0]]["run"] == 2  # the 2.0 run
         assert recorded["guard_samples"][label] == [3.0, 1.0, 2.0]
+
+
+def _guard_results(guard, scale, gate_passed=True):
+    results = {}
+    for path, _ in guard.PAIRED_METRICS:
+        results.setdefault(path[0], {}).setdefault(path[1], {})[path[2]] = scale
+    for name in guard.PAIRED_GATED:
+        results[name]["gate"] = {"rule": "<= 2%", "value": "x",
+                                 "passed": gate_passed}
+    return results
+
+
+@pytest.mark.parametrize("scales,gates,status", [
+    # one slow run alone would trip the floor; the median does not
+    ((0.5, 1.0, 0.9), (True, True, True), 0),
+    ((0.5, 0.7, 1.0), (True, True, True), 1),
+    # the row's own gate must hold in a majority of the runs
+    ((1.0, 1.0, 1.0), (False, True, True), 0),
+    ((1.0, 1.0, 1.0), (False, False, True), 1),
+])
+def test_guard_floors_the_median_of_three_runs(tmp_path, monkeypatch,
+                                                scales, gates, status):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+    import check_bench_regression as guard
+
+    (tmp_path / "BENCH_paired.json").write_text(
+        json.dumps({"results": _guard_results(guard, 1.0)}))
+    monkeypatch.setattr(guard, "REPO_ROOT", tmp_path)
+    runs = iter(_guard_results(guard, scale, gate)
+                for scale, gate in zip(scales, gates))
+    monkeypatch.setattr(bench_paired, "measure",
+                        lambda names, profile: next(runs))
+    assert guard.main(["--only", "paired"]) == status
+    assert next(runs, None) is None  # exactly three runs
