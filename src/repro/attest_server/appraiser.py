@@ -1,15 +1,11 @@
 """The appraiser: runs the measurement round and validates the response.
 
-Everything that makes the cloud server's answer trustworthy is checked
-here, in one place:
-
-1. the session certificate chains to the privacy CA (so the attester is
-   *some* enrolled CloudMonatt server, anonymously);
-2. the signature over (Vid, rM, M, N3, Q3) verifies under the certified
-   session key AVKs;
-3. the echoed nonce equals the fresh N3 this request minted (replay);
-4. the quote recomputes: Q3 = H(Vid‖rM‖M‖N3) (binding);
-5. the response answers exactly the measurements requested.
+The cloud server's answer is Q3 evidence, checked by
+:mod:`repro.protocol.evidence` (see its numbered check list). What the
+appraiser adds is Q3's signing key: the session key AVKs counts only
+once its certificate chains to the privacy CA, so the attester is
+*some* enrolled CloudMonatt server, anonymously. It also requires the
+response to answer every measurement requested.
 
 Any failure raises; the attestation server converts that into a failed
 attestation rather than a forged "healthy" report.
@@ -19,18 +15,16 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.common.errors import ProtocolError, ReplayError, SignatureError
+from repro.common.errors import ProtocolError
 from repro.common.identifiers import ServerId, VmId
-from repro.crypto.certificates import certificate_from_dict
+from repro.crypto.certificates import certificate_from_dict, verify_certificate
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.keys import RsaPublicKey
 from repro.crypto.nonces import NonceCache, NonceGenerator
-from repro.crypto.signatures import verify
-from repro.crypto.certificates import verify_certificate
 from repro.lifecycle.timing import CostModel
 from repro.network.secure_channel import SecureEndpoint
+from repro.protocol import evidence
 from repro.protocol import messages as msg
-from repro.protocol.quotes import attestation_quote, merkle_root
 from repro.resilience import RetryExecutor, RetryPolicy
 from repro.telemetry import KEY_TRACE, NULL_TELEMETRY, SPAN_Q3, Telemetry
 
@@ -103,60 +97,37 @@ class OatAppraiser:
             SPAN_Q3, server=str(server), vid=str(vid)
         ):
             nonce, response = self._retry.run(attempt)
-        msg.require_fields(
+        signed = evidence.verify_round(
+            evidence.Q3,
             response,
-            msg.KEY_VID,
-            msg.KEY_REQUESTED,
-            msg.KEY_MEASUREMENTS,
-            msg.KEY_NONCE,
-            msg.KEY_QUOTE,
-            msg.KEY_SIGNATURE,
-            msg.KEY_SESSION_CERT,
-        )
-        returned_measurements = response[msg.KEY_MEASUREMENTS]
-        returned_nonce = bytes(response[msg.KEY_NONCE])
-
-        if self.check_nonces:
-            if returned_nonce != bytes(nonce):
-                raise ReplayError("cloud server echoed a stale nonce")
-            self._seen_nonces.check_and_store(returned_nonce)
-
-        # certificate chain: AVKs certified by the pCA
-        session_cert = certificate_from_dict(response[msg.KEY_SESSION_CERT])
-        if self.check_signatures:
-            self.cost.charge("verify_signature")
-            verify_certificate(self._ca_key, session_cert)
-            payload = {
-                msg.KEY_VID: response[msg.KEY_VID],
-                msg.KEY_REQUESTED: response[msg.KEY_REQUESTED],
-                msg.KEY_MEASUREMENTS: returned_measurements,
-                msg.KEY_NONCE: returned_nonce,
-                msg.KEY_QUOTE: bytes(response[msg.KEY_QUOTE]),
-            }
-            self.cost.charge("verify_signature")
-            verify(
-                session_cert.public_key, payload, bytes(response[msg.KEY_SIGNATURE])
-            )
-
-        # quote binding
-        expected_quote = attestation_quote(
-            str(vid),
-            list(measurements),
-            returned_measurements,
-            returned_nonce,
+            {msg.KEY_VID: str(vid), msg.KEY_REQUESTED: list(measurements)},
+            nonce if self.check_nonces else None,
+            self._session_key if self.check_signatures else None,
+            seen=self._seen_nonces,
             telemetry=self.telemetry,
         )
-        if bytes(response[msg.KEY_QUOTE]) != expected_quote:
-            raise SignatureError("quote Q3 does not bind the returned measurements")
+        return self._answered(measurements, signed[msg.KEY_MEASUREMENTS])
 
-        if response[msg.KEY_VID] != str(vid):
-            raise ProtocolError("response names a different VM")
-        if list(response[msg.KEY_REQUESTED]) != list(measurements):
-            raise ProtocolError("response answers different measurements")
-        missing = set(measurements) - set(returned_measurements)
+    def _session_key(self, response: dict) -> RsaPublicKey:
+        """The session key AVKs, once its certificate chains to the pCA
+        (so the attester is *some* enrolled server, anonymously)."""
+        try:
+            session_cert = certificate_from_dict(
+                evidence.field(response, msg.KEY_SESSION_CERT)
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed session certificate: {exc!r}") from exc
+        self.cost.charge("verify_signature")
+        verify_certificate(self._ca_key, session_cert)
+        self.cost.charge("verify_signature")
+        return session_cert.public_key
+
+    @staticmethod
+    def _answered(requested: tuple[str, ...], returned: dict) -> dict:
+        missing = set(requested) - set(returned)
         if missing:
             raise ProtocolError(f"measurements missing from response: {missing}")
-        return returned_measurements
+        return returned
 
     def collect_batch(
         self,
@@ -198,63 +169,19 @@ class OatAppraiser:
             SPAN_Q3, server=str(server), vid=f"batch:{len(vids)}"
         ):
             response = self._endpoint.call(str(server), request)
-        msg.require_fields(
+        verified = evidence.verify_batch(
+            evidence.Q3,
             response,
-            msg.KEY_ENTRIES,
-            msg.KEY_BATCH_ROOT,
-            msg.KEY_SIGNATURE,
-            msg.KEY_SESSION_CERT,
+            [
+                {msg.KEY_VID: str(vid), msg.KEY_REQUESTED: list(measurements)}
+                for vid in vids
+            ],
+            nonces if self.check_nonces else None,
+            self._session_key if self.check_signatures else None,
+            seen=self._seen_nonces,
+            telemetry=self.telemetry,
         )
-        out_entries = list(response[msg.KEY_ENTRIES])
-        if len(out_entries) != len(vids):
-            raise ProtocolError("batch response entry count mismatch")
-
-        session_cert = certificate_from_dict(response[msg.KEY_SESSION_CERT])
-        batch_root = bytes(response[msg.KEY_BATCH_ROOT])
-        if self.check_signatures:
-            self.cost.charge("verify_signature")
-            verify_certificate(self._ca_key, session_cert)
-            self.cost.charge("verify_signature")
-            verify(
-                session_cert.public_key,
-                {msg.KEY_ENTRIES: out_entries, msg.KEY_BATCH_ROOT: batch_root},
-                bytes(response[msg.KEY_SIGNATURE]),
-            )
-
-        results: list[dict[str, Any]] = []
-        leaves: list[bytes] = []
-        for vid, nonce, entry in zip(vids, nonces, out_entries):
-            msg.require_fields(
-                entry,
-                msg.KEY_VID,
-                msg.KEY_REQUESTED,
-                msg.KEY_MEASUREMENTS,
-                msg.KEY_NONCE,
-                msg.KEY_QUOTE,
-            )
-            returned = entry[msg.KEY_MEASUREMENTS]
-            returned_nonce = bytes(entry[msg.KEY_NONCE])
-            if self.check_nonces:
-                if returned_nonce != nonce:
-                    raise ReplayError("cloud server echoed a stale nonce")
-                self._seen_nonces.check_and_store(returned_nonce)
-            expected_quote = attestation_quote(
-                str(vid), list(measurements), returned, returned_nonce,
-                telemetry=self.telemetry,
-            )
-            if bytes(entry[msg.KEY_QUOTE]) != expected_quote:
-                raise SignatureError(
-                    "quote Q3 does not bind the returned measurements"
-                )
-            if entry[msg.KEY_VID] != str(vid):
-                raise ProtocolError("batch entry names a different VM")
-            if list(entry[msg.KEY_REQUESTED]) != list(measurements):
-                raise ProtocolError("batch entry answers different measurements")
-            missing = set(measurements) - set(returned)
-            if missing:
-                raise ProtocolError(f"measurements missing from response: {missing}")
-            leaves.append(expected_quote)
-            results.append(returned)
-        if merkle_root(leaves, telemetry=self.telemetry) != batch_root:
-            raise SignatureError("batch root does not bind the per-entry quotes")
-        return results
+        return [
+            self._answered(measurements, entry[msg.KEY_MEASUREMENTS])
+            for entry in verified
+        ]

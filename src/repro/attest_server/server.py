@@ -26,8 +26,8 @@ from repro.network.secure_channel import SecureEndpoint
 from repro.properties.catalog import PropertyCatalog, SecurityProperty
 from repro.properties.report import PropertyReport
 from repro.properties.trends import AvailabilityTrendAnalyzer
+from repro.protocol import evidence
 from repro.protocol import messages as msg
-from repro.protocol.quotes import merkle_root, report_quote_q2
 from repro.resilience import RetryPolicy
 from repro.telemetry import (
     KEY_TRACE,
@@ -132,33 +132,24 @@ class AttestationServer:
                 accumulate=bool(body.get("accumulate", False)),
             )
 
-            report_dict = report.to_dict()
-            quote = report_quote_q2(
-                str(vid),
-                str(server),
-                prop.value,
-                report_dict,
-                nonce_n2,
-                telemetry=self.telemetry,
-            )
-            signed = {
-                msg.KEY_VID: str(vid),
-                msg.KEY_SERVER: str(server),
-                msg.KEY_PROPERTY: prop.value,
-                msg.KEY_REPORT: report_dict,
-                msg.KEY_NONCE: nonce_n2,
-                msg.KEY_QUOTE: quote,
-            }
             self.cost.charge("report_sign")
             with self.telemetry.span(
                 SPAN_CERTIFICATION, vid=str(vid), property=prop.value
             ):
                 certificate = self._certify(vid, prop, report)
-            return {
-                **signed,
-                msg.KEY_SIGNATURE: self.endpoint.sign(signed),
-                "certificate": certificate.to_dict(),
-            }
+            signed = evidence.sign_round(
+                evidence.Q2,
+                {
+                    msg.KEY_VID: str(vid),
+                    msg.KEY_SERVER: str(server),
+                    msg.KEY_PROPERTY: prop.value,
+                    msg.KEY_REPORT: report.to_dict(),
+                    msg.KEY_NONCE: nonce_n2,
+                },
+                self.endpoint.sign,
+                self.telemetry,
+            )
+            return {**signed, "certificate": certificate.to_dict()}
 
     def _handle_attest_batch(self, body: dict) -> dict:
         """Many attestation rounds in one controller request.
@@ -206,13 +197,7 @@ class AttestationServer:
                 accumulate=bool(body.get("accumulate", False)),
             )
             out_entries = []
-            leaves = []
             for (vid, server, prop, nonce), report in zip(parsed, reports):
-                report_dict = report.to_dict()
-                quote = report_quote_q2(
-                    str(vid), str(server), prop.value, report_dict, nonce,
-                    telemetry=self.telemetry,
-                )
                 if not report.healthy:
                     for serial in self._healthy_serials.pop((vid, prop.value), []):
                         self.certification.revoke(serial)
@@ -221,22 +206,14 @@ class AttestationServer:
                         msg.KEY_VID: str(vid),
                         msg.KEY_SERVER: str(server),
                         msg.KEY_PROPERTY: prop.value,
-                        msg.KEY_REPORT: report_dict,
+                        msg.KEY_REPORT: report.to_dict(),
                         msg.KEY_NONCE: nonce,
-                        msg.KEY_QUOTE: quote,
                     }
                 )
-                leaves.append(quote)
-            batch_root = merkle_root(leaves, telemetry=self.telemetry)
             self.cost.charge("report_sign")
-            signature = self.endpoint.sign(
-                {msg.KEY_ENTRIES: out_entries, msg.KEY_BATCH_ROOT: batch_root}
+            return evidence.sign_batch(
+                evidence.Q2, out_entries, self.endpoint.sign, self.telemetry
             )
-            return {
-                msg.KEY_ENTRIES: out_entries,
-                msg.KEY_BATCH_ROOT: batch_root,
-                msg.KEY_SIGNATURE: signature,
-            }
 
     def _certify(self, vid: VmId, prop: SecurityProperty, report):
         """Issue a property certificate; revoke stale healthy ones when
@@ -271,24 +248,19 @@ class AttestationServer:
             server, vid, spec.measurements,
             spec.default_window_ms if window is None else float(window),
         )
-        quote = report_quote_q2(
-            str(vid),
-            str(server),
-            prop.value,
-            measurements,
-            nonce_n2,
-            telemetry=self.telemetry,
-        )
-        signed = {
-            msg.KEY_VID: str(vid),
-            msg.KEY_SERVER: str(server),
-            msg.KEY_PROPERTY: prop.value,
-            msg.KEY_MEASUREMENTS: measurements,
-            msg.KEY_NONCE: nonce_n2,
-            msg.KEY_QUOTE: quote,
-        }
         self.cost.charge("report_sign")
-        return {**signed, msg.KEY_SIGNATURE: self.endpoint.sign(signed)}
+        return evidence.sign_round(
+            evidence.Q2_RAW,
+            {
+                msg.KEY_VID: str(vid),
+                msg.KEY_SERVER: str(server),
+                msg.KEY_PROPERTY: prop.value,
+                msg.KEY_MEASUREMENTS: measurements,
+                msg.KEY_NONCE: nonce_n2,
+            },
+            self.endpoint.sign,
+            self.telemetry,
+        )
 
     def availability_trend(self, vid: VmId):
         """Trend analysis over the VM's availability attestation history.

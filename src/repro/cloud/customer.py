@@ -16,7 +16,6 @@ from repro.common.errors import (
     CloudMonattError,
     ProtocolError,
     ReplayError,
-    SignatureError,
 )
 from repro.common.identifiers import VmId
 from repro.crypto.certificates import CertificateAuthority
@@ -28,8 +27,8 @@ from repro.network.network import Network
 from repro.network.secure_channel import SecureEndpoint
 from repro.properties.catalog import SecurityProperty
 from repro.properties.report import PropertyReport
+from repro.protocol import evidence
 from repro.protocol import messages as msg
-from repro.protocol.quotes import merkle_root, report_quote_q1
 from repro.resilience import RetryExecutor, RetryPolicy, is_transient
 from repro.telemetry import KEY_ROUND, KEY_TRACE, NULL_TELEMETRY, SPAN_Q1, Telemetry
 from repro.telemetry.observatory.flightrecorder import outcome_verdict
@@ -326,13 +325,13 @@ class Customer:
             range(total),
             key=lambda i: (str(requests[i][0]), requests[i][1].value),
         )
-        nonce_to_index: dict[bytes, int] = {}
+        nonces: list[bytes] = [b""] * total
         entries = []
         rids: list[Optional[str]] = [None] * total
         for index in order:
             vid, prop = requests[index]
             nonce = bytes(self._nonces.fresh())
-            nonce_to_index[nonce] = index
+            nonces[index] = nonce
             # each logical round in the batch is its own flight-recorder
             # round: mint here (the round starts at the customer) and
             # carry the id inside the wire entry so the controller's
@@ -388,60 +387,28 @@ class Customer:
                 ]
                 # no shared batch survived, so there is no root to bind
                 return FleetAttestation(fallback, None) if with_root else fallback
-            msg.require_fields(
-                response, msg.KEY_ENTRIES, msg.KEY_BATCH_ROOT, msg.KEY_SIGNATURE
+            verified = evidence.verify_batch(
+                evidence.Q1,
+                response,
+                [
+                    {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value}
+                    for vid, prop in requests
+                ],
+                nonces,
+                self._controller_key_for,
+                telemetry=self.telemetry,
             )
-            out_entries = list(response[msg.KEY_ENTRIES])
-            if len(out_entries) != total:
-                raise ProtocolError("fleet response entry count mismatch")
-            batch_root = bytes(response[msg.KEY_BATCH_ROOT])
-            verify(
-                self._controller_key,
-                {msg.KEY_ENTRIES: out_entries, msg.KEY_BATCH_ROOT: batch_root},
-                bytes(response[msg.KEY_SIGNATURE]),
-            )
-            leaves: list[bytes] = []
-            results: list[Optional[VerifiedAttestation]] = [None] * total
-            seen: set[int] = set()
-            for entry in out_entries:
-                msg.require_fields(
-                    entry,
-                    msg.KEY_VID,
-                    msg.KEY_PROPERTY,
-                    msg.KEY_REPORT,
-                    msg.KEY_NONCE,
-                    msg.KEY_QUOTE,
-                )
-                nonce = bytes(entry[msg.KEY_NONCE])
-                index = nonce_to_index.get(nonce)
-                if index is None or index in seen:
-                    raise ReplayError("controller echoed a stale nonce N1")
-                seen.add(index)
-                vid, prop = requests[index]
-                if (
-                    entry[msg.KEY_VID] != str(vid)
-                    or entry[msg.KEY_PROPERTY] != prop.value
-                ):
-                    raise ProtocolError("fleet entry names a different VM/property")
-                expected = report_quote_q1(
-                    str(vid), prop.value, entry[msg.KEY_REPORT], nonce,
-                    telemetry=self.telemetry,
-                )
-                if bytes(entry[msg.KEY_QUOTE]) != expected:
-                    raise ProtocolError("quote Q1 does not bind the report")
-                leaves.append(expected)
-                results[index] = VerifiedAttestation(
+            results = [
+                VerifiedAttestation(
                     report=PropertyReport.from_dict(entry[msg.KEY_REPORT]),
                     attest_ms=float(entry.get("attest_ms", 0.0)),
                     response=entry.get("response"),
                     certificate=None,
                 )
-            if merkle_root(leaves, telemetry=self.telemetry) != batch_root:
-                raise SignatureError("batch root does not bind the per-entry quotes")
-        for index, (vid, prop) in enumerate(requests):
-            rid = rids[index]
-            result = results[index]
-            if rid is None or result is None:
+                for entry in verified
+            ]
+        for (vid, prop), rid, result in zip(requests, rids, results):
+            if rid is None:
                 continue
             verdict, degraded = outcome_verdict(result.report, result.degraded)
             self.telemetry.observe_event(
@@ -452,8 +419,10 @@ class Customer:
                 verdict=verdict,
                 degraded=degraded,
             )
-        final = [result for result in results if result is not None]
-        return FleetAttestation(final, batch_root) if with_root else final
+        return (
+            FleetAttestation(results, response[msg.KEY_BATCH_ROOT])
+            if with_root else results
+        )
 
     def _degraded_attestation(
         self, vid: VmId, prop: SecurityProperty, exc: CloudMonattError
@@ -508,25 +477,15 @@ class Customer:
             return bytes(fresh), self.endpoint.call(self._controller, request)
 
         nonce, response = self._retry.run(attempt)
-        msg.require_fields(
-            response, msg.KEY_VID, msg.KEY_PROPERTY, msg.KEY_MEASUREMENTS,
-            msg.KEY_NONCE, msg.KEY_QUOTE, msg.KEY_SIGNATURE,
-        )
-        if bytes(response[msg.KEY_NONCE]) != bytes(nonce):
-            raise ReplayError("controller echoed a stale nonce N1")
-        signed = {
-            key: response[key]
-            for key in (msg.KEY_VID, msg.KEY_PROPERTY, msg.KEY_MEASUREMENTS,
-                        msg.KEY_NONCE, msg.KEY_QUOTE)
-        }
-        verify(self._controller_key, signed, bytes(response[msg.KEY_SIGNATURE]))
-        expected = report_quote_q1(
-            str(vid), prop.value, response[msg.KEY_MEASUREMENTS], bytes(nonce),
+        signed = evidence.verify_round(
+            evidence.Q1_RAW,
+            response,
+            {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value},
+            nonce,
+            self._controller_key_for,
             telemetry=self.telemetry,
         )
-        if bytes(response[msg.KEY_QUOTE]) != expected:
-            raise ProtocolError("quote does not bind the raw measurements")
-        return response[msg.KEY_MEASUREMENTS]
+        return signed[msg.KEY_MEASUREMENTS]
 
     def start_periodic_attestation(
         self,
@@ -606,37 +565,19 @@ class Customer:
     def _verify_report(
         self, vid: VmId, prop: SecurityProperty, nonce: bytes, response: dict
     ) -> PropertyReport:
-        msg.require_fields(
+        signed = evidence.verify_round(
+            evidence.Q1,
             response,
-            msg.KEY_VID,
-            msg.KEY_PROPERTY,
-            msg.KEY_REPORT,
-            msg.KEY_NONCE,
-            msg.KEY_QUOTE,
-            msg.KEY_SIGNATURE,
-        )
-        if bytes(response[msg.KEY_NONCE]) != nonce:
-            raise ReplayError("controller echoed a stale nonce N1")
-        if response[msg.KEY_VID] != str(vid) or response[msg.KEY_PROPERTY] != prop.value:
-            raise ProtocolError("report names a different VM or property")
-        signed = {
-            key: response[key]
-            for key in (
-                msg.KEY_VID,
-                msg.KEY_PROPERTY,
-                msg.KEY_REPORT,
-                msg.KEY_NONCE,
-                msg.KEY_QUOTE,
-            )
-        }
-        verify(self._controller_key, signed, bytes(response[msg.KEY_SIGNATURE]))
-        expected = report_quote_q1(
-            str(vid), prop.value, response[msg.KEY_REPORT], nonce,
+            {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value},
+            nonce,
+            self._controller_key_for,
             telemetry=self.telemetry,
         )
-        if bytes(response[msg.KEY_QUOTE]) != expected:
-            raise ProtocolError("quote Q1 does not bind the report")
-        return PropertyReport.from_dict(response[msg.KEY_REPORT])
+        return PropertyReport.from_dict(signed[msg.KEY_REPORT])
+
+    def _controller_key_for(self, _response: dict) -> RsaPublicKey:
+        """Q1 evidence verifies under the controller's key VKc."""
+        return self._controller_key
 
     def _handle_push(self, peer: str, body: dict) -> dict:
         """Receive a periodic attestation push from the controller."""

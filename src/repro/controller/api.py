@@ -48,8 +48,8 @@ from repro.network.secure_channel import SecureEndpoint
 from repro.policy.model import MonitoringPolicy
 from repro.policy.scheduler import PolicyScheduler
 from repro.properties.catalog import PropertyCatalog, SecurityProperty
+from repro.protocol import evidence
 from repro.protocol import messages as msg
-from repro.protocol.quotes import merkle_root, report_quote_q1
 from repro.resilience import RetryExecutor, RetryPolicy, is_transient
 from repro.sim.engine import Engine, EventHandle
 from repro.telemetry import (
@@ -530,11 +530,24 @@ class CloudController:
                     "reaction_ms": response_outcome.reaction_ms,
                     "new_server": str(response_outcome.new_server or ""),
                 }
-            return self._sign_report(vid, prop, outcome.report.to_dict(), nonce, {
+            self.cost.charge("report_sign")
+            signed = evidence.sign_round(
+                evidence.Q1,
+                {
+                    msg.KEY_VID: str(vid),
+                    msg.KEY_PROPERTY: prop.value,
+                    msg.KEY_REPORT: outcome.report.to_dict(),
+                    msg.KEY_NONCE: nonce,
+                },
+                self.endpoint.sign,
+                self.telemetry,
+            )
+            extras = {
                 "attest_ms": outcome.attest_ms,
                 "response": response_info,
                 "certificate": outcome.certificate,
-            })
+            }
+            return {**signed, **{k: v for k, v in extras.items() if v is not None}}
 
     def _handle_attest_fleet(self, peer: str, body: dict) -> dict:
         """Table-1 extension: attest many VMs in one customer request.
@@ -585,7 +598,6 @@ class CloudController:
             outcomes = [future.result() for future in futures]
 
             out_entries = []
-            leaves = []
             for (vid, prop, nonce, _rid), outcome in zip(parsed, outcomes):
                 response_info = None
                 if (
@@ -599,33 +611,20 @@ class CloudController:
                         "reaction_ms": response_outcome.reaction_ms,
                         "new_server": str(response_outcome.new_server or ""),
                     }
-                report_dict = outcome.report.to_dict()
-                quote = report_quote_q1(
-                    str(vid), prop.value, report_dict, nonce,
-                    telemetry=self.telemetry,
-                )
                 entry_out = {
                     msg.KEY_VID: str(vid),
                     msg.KEY_PROPERTY: prop.value,
-                    msg.KEY_REPORT: report_dict,
+                    msg.KEY_REPORT: outcome.report.to_dict(),
                     msg.KEY_NONCE: nonce,
-                    msg.KEY_QUOTE: quote,
                     "attest_ms": outcome.attest_ms,
                 }
                 if response_info is not None:
                     entry_out["response"] = response_info
                 out_entries.append(entry_out)
-                leaves.append(quote)
-            batch_root = merkle_root(leaves, telemetry=self.telemetry)
             self.cost.charge("report_sign")
-            signature = self.endpoint.sign(
-                {msg.KEY_ENTRIES: out_entries, msg.KEY_BATCH_ROOT: batch_root}
+            return evidence.sign_batch(
+                evidence.Q1, out_entries, self.endpoint.sign, self.telemetry
             )
-            return {
-                msg.KEY_ENTRIES: out_entries,
-                msg.KEY_BATCH_ROOT: batch_root,
-                msg.KEY_SIGNATURE: signature,
-            }
 
     def _handle_collect_raw(self, peer: str, body: dict) -> dict:
         """Pass-through mode: return validated raw measurements (§4.1)."""
@@ -640,39 +639,18 @@ class CloudController:
         measurements = self.attest_service.collect_raw(
             vid, prop, window_ms=body.get(msg.KEY_WINDOW)
         )
-        quote = report_quote_q1(
-            str(vid), prop.value, measurements, nonce, telemetry=self.telemetry
-        )
-        signed = {
-            msg.KEY_VID: str(vid),
-            msg.KEY_PROPERTY: prop.value,
-            msg.KEY_MEASUREMENTS: measurements,
-            msg.KEY_NONCE: nonce,
-            msg.KEY_QUOTE: quote,
-        }
         self.cost.charge("report_sign")
-        return {**signed, msg.KEY_SIGNATURE: self.endpoint.sign(signed)}
-
-    def _sign_report(
-        self, vid: VmId, prop: SecurityProperty, report: dict, nonce: bytes,
-        extras: dict,
-    ) -> dict:
-        quote = report_quote_q1(
-            str(vid), prop.value, report, nonce, telemetry=self.telemetry
+        return evidence.sign_round(
+            evidence.Q1_RAW,
+            {
+                msg.KEY_VID: str(vid),
+                msg.KEY_PROPERTY: prop.value,
+                msg.KEY_MEASUREMENTS: measurements,
+                msg.KEY_NONCE: nonce,
+            },
+            self.endpoint.sign,
+            self.telemetry,
         )
-        signed = {
-            msg.KEY_VID: str(vid),
-            msg.KEY_PROPERTY: prop.value,
-            msg.KEY_REPORT: report,
-            msg.KEY_NONCE: nonce,
-            msg.KEY_QUOTE: quote,
-        }
-        self.cost.charge("report_sign")
-        return {
-            **signed,
-            msg.KEY_SIGNATURE: self.endpoint.sign(signed),
-            **{k: v for k, v in extras.items() if v is not None},
-        }
 
     # ------------------------------------------------------------------
     # Table 1: periodic attestation

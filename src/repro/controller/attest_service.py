@@ -28,13 +28,12 @@ from repro.controller.database import NovaDatabase
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.keys import RsaPublicKey
 from repro.crypto.nonces import NonceGenerator
-from repro.crypto.signatures import verify
 from repro.lifecycle.timing import CostModel
 from repro.network.secure_channel import SecureEndpoint
 from repro.properties.catalog import SecurityProperty
 from repro.properties.report import PropertyReport
+from repro.protocol import evidence
 from repro.protocol import messages as msg
-from repro.protocol.quotes import merkle_root, report_quote_q2
 from repro.resilience import (
     CircuitBreaker,
     RetryExecutor,
@@ -340,11 +339,11 @@ class AttestService:
         """One batched wire round against one Attestation Server."""
         chunk_started = self.cost.engine.now
         entries = []
-        nonce_to_pos: dict[bytes, int] = {}
-        for pos, index in enumerate(chunk):
+        nonces = []
+        for index in chunk:
             vid, prop = requests[index]
             fresh = bytes(self._nonces.fresh())
-            nonce_to_pos[fresh] = pos
+            nonces.append(fresh)
             entries.append(
                 {
                     msg.KEY_VID: str(vid),
@@ -372,64 +371,23 @@ class AttestService:
         ):
             response = self._endpoint.call(as_name, request)
 
-        msg.require_fields(
-            response, msg.KEY_ENTRIES, msg.KEY_BATCH_ROOT, msg.KEY_SIGNATURE
+        verified = evidence.verify_batch(
+            evidence.Q2,
+            response,
+            [
+                {msg.KEY_VID: entry[msg.KEY_VID], msg.KEY_PROPERTY: entry[msg.KEY_PROPERTY]}
+                for entry in entries
+            ],
+            nonces,
+            self._as_key(as_name),
+            telemetry=self.telemetry,
         )
-        as_key = self._as_keys.get(as_name)
-        if as_key is None:
-            raise ProtocolError(f"no verification key for {as_name!r}")
-        out_entries = list(response[msg.KEY_ENTRIES])
-        if len(out_entries) != len(chunk):
-            raise ProtocolError("batch response entry count mismatch")
-        batch_root = bytes(response[msg.KEY_BATCH_ROOT])
-        self.cost.charge("verify_signature")
-        verify(
-            as_key,
-            {msg.KEY_ENTRIES: out_entries, msg.KEY_BATCH_ROOT: batch_root},
-            bytes(response[msg.KEY_SIGNATURE]),
-        )
-        leaves: list[bytes] = []
-        reports: list[PropertyReport | None] = [None] * len(chunk)
-        seen_positions: set[int] = set()
-        for entry in out_entries:
-            msg.require_fields(
-                entry,
-                msg.KEY_VID,
-                msg.KEY_SERVER,
-                msg.KEY_PROPERTY,
-                msg.KEY_REPORT,
-                msg.KEY_NONCE,
-                msg.KEY_QUOTE,
-            )
-            nonce = bytes(entry[msg.KEY_NONCE])
-            pos = nonce_to_pos.get(nonce)
-            if pos is None or pos in seen_positions:
-                raise ReplayError("attestation server echoed a stale nonce N2")
-            seen_positions.add(pos)
-            vid, prop = requests[chunk[pos]]
-            if entry[msg.KEY_VID] != str(vid) or entry[msg.KEY_PROPERTY] != prop.value:
-                raise ProtocolError("batch entry names a different VM/property")
-            expected_quote = report_quote_q2(
-                str(vid),
-                str(entry[msg.KEY_SERVER]),
-                prop.value,
-                entry[msg.KEY_REPORT],
-                nonce,
-                telemetry=self.telemetry,
-            )
-            if bytes(entry[msg.KEY_QUOTE]) != expected_quote:
-                raise ProtocolError("quote Q2 does not bind the attestation report")
-            leaves.append(expected_quote)
-            reports[pos] = PropertyReport.from_dict(entry[msg.KEY_REPORT])
-        if merkle_root(leaves, telemetry=self.telemetry) != batch_root:
-            raise SignatureError("batch root does not bind the per-entry quotes")
+        reports = [PropertyReport.from_dict(entry[msg.KEY_REPORT]) for entry in verified]
 
         attest_ms = self.cost.engine.now - chunk_started
         outcomes: list[AttestationOutcome] = []
-        for pos, index in enumerate(chunk):
+        for index, report in zip(chunk, reports):
             vid, prop = requests[index]
-            report = reports[pos]
-            assert report is not None
             if self.telemetry.enabled:
                 self.telemetry.histogram("controller.attest_ms").observe(
                     attest_ms, property=prop.value
@@ -531,73 +489,39 @@ class AttestService:
             return bytes(fresh), self._endpoint.call(as_name, request)
 
         nonce, response = self._retry.run(attempt)
-        msg.require_fields(
-            response, msg.KEY_VID, msg.KEY_SERVER, msg.KEY_PROPERTY,
-            msg.KEY_MEASUREMENTS, msg.KEY_NONCE, msg.KEY_QUOTE, msg.KEY_SIGNATURE,
+        signed = evidence.verify_round(
+            evidence.Q2_RAW,
+            response,
+            {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value},
+            nonce,
+            self._as_key(as_name),
+            telemetry=self.telemetry,
         )
+        return signed[msg.KEY_MEASUREMENTS]
+
+    def _as_key(self, as_name: str):
+        """The ``key`` callback for evidence signed by one AS: VKa, with
+        its verification charged when the check runs."""
         as_key = self._as_keys.get(as_name)
         if as_key is None:
             raise ProtocolError(f"no verification key for {as_name!r}")
-        if bytes(response[msg.KEY_NONCE]) != bytes(nonce):
-            raise ReplayError("attestation server echoed a stale nonce N2")
-        signed = {
-            key: response[key]
-            for key in (msg.KEY_VID, msg.KEY_SERVER, msg.KEY_PROPERTY,
-                        msg.KEY_MEASUREMENTS, msg.KEY_NONCE, msg.KEY_QUOTE)
-        }
-        self.cost.charge("verify_signature")
-        verify(as_key, signed, bytes(response[msg.KEY_SIGNATURE]))
-        expected = report_quote_q2(
-            str(vid), str(response[msg.KEY_SERVER]), prop.value,
-            response[msg.KEY_MEASUREMENTS], bytes(nonce),
-            telemetry=self.telemetry,
-        )
-        if bytes(response[msg.KEY_QUOTE]) != expected:
-            raise ProtocolError("quote does not bind the raw measurements")
-        return response[msg.KEY_MEASUREMENTS]
+
+        def key(_response: dict) -> RsaPublicKey:
+            self.cost.charge("verify_signature")
+            return as_key
+
+        return key
 
     def _validate(
         self, vid: VmId, prop: SecurityProperty, nonce: bytes, response: dict,
         as_name: str,
     ) -> PropertyReport:
-        msg.require_fields(
+        signed = evidence.verify_round(
+            evidence.Q2,
             response,
-            msg.KEY_VID,
-            msg.KEY_SERVER,
-            msg.KEY_PROPERTY,
-            msg.KEY_REPORT,
-            msg.KEY_NONCE,
-            msg.KEY_QUOTE,
-            msg.KEY_SIGNATURE,
-        )
-        as_key = self._as_keys.get(as_name)
-        if as_key is None:
-            raise ProtocolError(f"no verification key for {as_name!r}")
-        if bytes(response[msg.KEY_NONCE]) != nonce:
-            raise ReplayError("attestation server echoed a stale nonce N2")
-        if response[msg.KEY_VID] != str(vid) or response[msg.KEY_PROPERTY] != prop.value:
-            raise ProtocolError("attestation response names a different VM/property")
-        signed = {
-            key: response[key]
-            for key in (
-                msg.KEY_VID,
-                msg.KEY_SERVER,
-                msg.KEY_PROPERTY,
-                msg.KEY_REPORT,
-                msg.KEY_NONCE,
-                msg.KEY_QUOTE,
-            )
-        }
-        self.cost.charge("verify_signature")
-        verify(as_key, signed, bytes(response[msg.KEY_SIGNATURE]))
-        expected_quote = report_quote_q2(
-            str(vid),
-            str(response[msg.KEY_SERVER]),
-            prop.value,
-            response[msg.KEY_REPORT],
-            bytes(response[msg.KEY_NONCE]),
+            {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value},
+            nonce,
+            self._as_key(as_name),
             telemetry=self.telemetry,
         )
-        if bytes(response[msg.KEY_QUOTE]) != expected_quote:
-            raise ProtocolError("quote Q2 does not bind the attestation report")
-        return PropertyReport.from_dict(response[msg.KEY_REPORT])
+        return PropertyReport.from_dict(signed[msg.KEY_REPORT])

@@ -21,7 +21,7 @@ from typing import Any, Optional
 from repro.common.errors import PlacementError, ProtocolError, StateError
 from repro.common.identifiers import ServerId, VmId
 from repro.common.rng import DeterministicRng
-from repro.crypto.certificates import CertificateAuthority, certificate_to_dict
+from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.drbg import HmacDrbg
 from repro.guest.os_model import GuestOS
 from repro.lifecycle.flavors import Flavor, VmImage
@@ -45,8 +45,8 @@ from repro.monitors.vmi_tool import VmiTool
 from repro.monitors.vmm_profile import VmmProfileTool
 from repro.network.network import Network
 from repro.network.secure_channel import SecureEndpoint
+from repro.protocol import evidence
 from repro.protocol import messages as msg
-from repro.protocol.quotes import attestation_quote, merkle_root
 from repro.sim.engine import Engine
 from repro.telemetry import KEY_TRACE, NULL_TELEMETRY, SPAN_MEASURE, Telemetry
 from repro.tpm.trust_module import TrustModule
@@ -275,24 +275,19 @@ class CloudServer:
 
         # ⑤ evidence into the Trust Module, ⑥ sign with the session key
         self.trust_module.store_evidence(f"attest:{vid}", measurements)
-        quote = attestation_quote(
-            str(vid), list(requested), measurements, nonce,
-            telemetry=self.telemetry,
-        )
-        payload = {
-            msg.KEY_VID: str(vid),
-            msg.KEY_REQUESTED: list(requested),
-            msg.KEY_MEASUREMENTS: measurements,
-            msg.KEY_NONCE: nonce,
-            msg.KEY_QUOTE: quote,
-        }
         self.cost.charge("tpm_quote_sign")
-        signature = self.trust_module.sign_with_session(session, payload)
-        return {
-            **payload,
-            msg.KEY_SIGNATURE: signature,
-            msg.KEY_SESSION_CERT: session_cert,
-        }
+        signed = evidence.sign_round(
+            evidence.Q3,
+            {
+                msg.KEY_VID: str(vid),
+                msg.KEY_REQUESTED: list(requested),
+                msg.KEY_MEASUREMENTS: measurements,
+                msg.KEY_NONCE: nonce,
+            },
+            lambda payload: self.trust_module.sign_with_session(session, payload),
+            self.telemetry,
+        )
+        return {**signed, msg.KEY_SESSION_CERT: session_cert}
 
     def _handle_measure_batch(self, peer: str, body: dict) -> dict:
         """Coalesced Fig. 2 flow for many VMs on this server at once.
@@ -362,35 +357,24 @@ class CloudServer:
 
         # ⑤ evidence + per-entry Q3 leaves, ⑥ one signature over the root
         out_entries = []
-        leaves = []
         for entry, request, measurements in zip(entries, requests, all_measurements):
-            nonce = bytes(entry[msg.KEY_NONCE])
             self.trust_module.store_evidence(f"attest:{request.vid}", measurements)
-            quote = attestation_quote(
-                str(request.vid), list(request.measurements), measurements, nonce,
-                telemetry=self.telemetry,
-            )
-            leaves.append(quote)
             out_entries.append(
                 {
                     msg.KEY_VID: str(request.vid),
                     msg.KEY_REQUESTED: list(request.measurements),
                     msg.KEY_MEASUREMENTS: measurements,
-                    msg.KEY_NONCE: nonce,
-                    msg.KEY_QUOTE: quote,
+                    msg.KEY_NONCE: bytes(entry[msg.KEY_NONCE]),
                 }
             )
-        batch_root = merkle_root(leaves, telemetry=self.telemetry)
         self.cost.charge("tpm_quote_sign")
-        signature = self.trust_module.sign_with_session(
-            session, {msg.KEY_ENTRIES: out_entries, msg.KEY_BATCH_ROOT: batch_root}
+        signed = evidence.sign_batch(
+            evidence.Q3,
+            out_entries,
+            lambda payload: self.trust_module.sign_with_session(session, payload),
+            self.telemetry,
         )
-        return {
-            msg.KEY_ENTRIES: out_entries,
-            msg.KEY_BATCH_ROOT: batch_root,
-            msg.KEY_SIGNATURE: signature,
-            msg.KEY_SESSION_CERT: session_cert,
-        }
+        return {**signed, msg.KEY_SESSION_CERT: session_cert}
 
     def _handle_load_report(self, peer: str, body: dict) -> dict:
         """Operational telemetry: per-VM CPU usage over a short window.

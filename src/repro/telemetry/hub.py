@@ -175,7 +175,7 @@ class Telemetry:
         self.observatory = observatory
         self.tracer.add_listener(observatory.ingest_span)
 
-    def observe_event(self, kind: str, **fields: object) -> None:
+    def observe_event(self, kind: str, /, **fields: object) -> None:
         """Publish one producer event to the observatory, if attached.
 
         This is the producers' single consumer-facing hook: a plain

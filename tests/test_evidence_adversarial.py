@@ -298,6 +298,11 @@ def renamed_vm(hop, entry):
     return True
 
 
+def renamed_vm_unsigned(hop, entry):
+    entry[msg.KEY_VID] = "vm-0999"
+    return False
+
+
 def renamed_vm_quote_kept(hop, entry):
     entry[msg.KEY_VID] = "vm-0999"
     return True
@@ -328,6 +333,7 @@ ENTRY_LIES = {
     "tampered": tampered,
     "stale-nonce": stale_nonce,
     "renamed-vm": renamed_vm,
+    "renamed-vm-unsigned": renamed_vm_unsigned,
     "renamed-vm-quote-kept": renamed_vm_quote_kept,
     "renamed-property": renamed_property,
     "renamed-property-quote-kept": renamed_property_quote_kept,
@@ -341,6 +347,7 @@ ENTRY_EXPECTED = {
         "tampered": SignatureError,
         "stale-nonce": ReplayError,
         "renamed-vm": SignatureError,
+        "renamed-vm-unsigned": SignatureError,
         "renamed-vm-quote-kept": ProtocolError,
         "renamed-property": SignatureError,
         "renamed-property-quote-kept": ProtocolError,
@@ -351,6 +358,7 @@ ENTRY_EXPECTED = {
         "tampered": SignatureError,
         "stale-nonce": ReplayError,
         "renamed-vm": ProtocolError,
+        "renamed-vm-unsigned": SignatureError,
         "renamed-vm-quote-kept": ProtocolError,
         "renamed-property": ProtocolError,
         "renamed-property-quote-kept": ProtocolError,
@@ -385,18 +393,11 @@ def batch_form(entry_lie):
     return mutate
 
 
-def assert_rejected(expected, run, hop_name, form):
+def assert_rejected(expected, run):
     """``run()`` raises exactly ``expected`` (not a subclass)."""
-    with pytest.raises(Exception) as caught:
+    with pytest.raises(expected) as caught:
         run()
-    error = caught.value
-    if hop_name == "Q2" and form == "single":
-        # the controller's failure event passes ``kind=`` to
-        # ``Telemetry.observe_event(kind, **fields)``: the verifier's
-        # own error surfaces only as the context of a TypeError
-        assert type(error) is TypeError
-        error = error.__context__
-    assert type(error) is expected, repr(error)
+    assert type(caught.value) is expected, repr(caught.value)
 
 
 class TestHonestBaseline:
@@ -422,12 +423,12 @@ class TestSingleForm:
     def test_lie_rejected(self, lie, hop_name, lie_name):
         hop = lie(hop_name, single_form(ENTRY_LIES[lie_name]))
         expected = ENTRY_EXPECTED[hop_name][lie_name]
-        assert_rejected(expected, hop.run_single, hop_name, "single")
+        assert_rejected(expected, hop.run_single)
 
     @pytest.mark.parametrize("hop_name", list(HOPS))
     def test_missing_signature_rejected(self, lie, hop_name):
         hop = lie(hop_name, delete_field(msg.KEY_SIGNATURE))
-        assert_rejected(ProtocolError, hop.run_single, hop_name, "single")
+        assert_rejected(ProtocolError, hop.run_single)
 
 
 def resigned_batch(edit):
@@ -470,7 +471,7 @@ class TestBatchForm:
     def test_entry_lie_rejected(self, lie, hop_name, lie_name):
         hop = lie(hop_name, batch_form(ENTRY_LIES[lie_name]))
         expected = ENTRY_EXPECTED[hop_name][lie_name]
-        assert_rejected(expected, hop.run_batch, hop_name, "batch")
+        assert_rejected(expected, hop.run_batch)
 
     @pytest.mark.parametrize(
         "hop_name,lie_name", [(h, name) for h in HOPS for name in BATCH_LIES]
@@ -478,24 +479,122 @@ class TestBatchForm:
     def test_batch_lie_rejected(self, lie, hop_name, lie_name):
         mutate, expected = BATCH_LIES[lie_name]
         hop = lie(hop_name, mutate)
-        assert_rejected(expected, hop.run_batch, hop_name, "batch")
+        assert_rejected(expected, hop.run_batch)
 
 
 class TestReorder:
     """An honest producer that re-signs its entries in another order.
 
-    Every entry binds its own nonce and the signature covers the whole
-    reordered batch, so nothing is forged. Q2 and Q1 pair entries by
-    nonce and accept; Q3 pairs them by position and rejects.
+    Every entry binds its own nonce and the signature and root cover
+    the whole reordered batch, so nothing is forged: every hop pairs
+    entries with requests by nonce and accepts, returning results in
+    request order.
     """
 
     reverse = staticmethod(resigned_batch(lambda hop, entries: entries.reverse()))
 
-    @pytest.mark.parametrize("hop_name", ["Q2", "Q1"])
-    def test_reorder_accepted_by_nonce_pairing(self, lie, hop_name):
+    def test_results_follow_the_request_order(self, lie):
+        def label_and_reverse(hop, entries):
+            # give every entry content naming its own VM, then reverse
+            for entry in entries:
+                entry[msg.KEY_MEASUREMENTS]["vmi.task_list"] = [
+                    {"pid": 1, "name": entry[msg.KEY_VID]}
+                ]
+                hop.requote(entry)
+            entries.reverse()
+
+        hop = lie("Q3", resigned_batch(label_and_reverse))
+        names = [measured["vmi.task_list"][0]["name"] for measured in hop.run_batch()]
+        assert names == hop.vids
+
+    @pytest.mark.parametrize("hop_name", list(HOPS))
+    def test_reorder_accepted(self, lie, hop_name):
         hop = lie(hop_name, self.reverse)
         assert len(hop.run_batch()) == 3
 
-    def test_reorder_rejected_by_position_pairing_at_q3(self, lie):
-        hop = lie("Q3", self.reverse)
-        assert_rejected(ReplayError, hop.run_batch, "Q3", "batch")
+
+class TestFailureEvent:
+    def test_q2_failure_is_published_with_its_kind(self, lie, monkeypatch):
+        hop = lie("Q2", single_form(stale_nonce))
+        published = []
+
+        class Recorder:
+            def record(self, kind, time_ms, fields):
+                published.append((kind, fields))
+
+        telemetry = hop.cloud.controller.attest_service.telemetry
+        monkeypatch.setattr(telemetry, "observatory", Recorder())
+        assert_rejected(ReplayError, hop.run_single)
+        kinds = [
+            fields["kind"] for kind, fields in published
+            if kind == "verification_failure"
+        ]
+        assert kinds == ["nonce"]
+
+
+def stringify(field):
+    """A cloud server reply with ``field`` sent as ``str`` (per entry
+    for the nonce and quote of a batch)."""
+
+    def corrupt(reply):
+        targets = [reply]
+        if field in (msg.KEY_NONCE, msg.KEY_QUOTE):
+            targets = reply.get(msg.KEY_ENTRIES, targets)
+        for target in targets:
+            if field in target:
+                target[field] = "not-bytes"
+        return reply
+
+    return corrupt
+
+
+class TestWrongTypedFields:
+    """A lying cloud server's wrong-typed field fails closed: the
+    customer gets an UNHEALTHY report, never a raw ``TypeError``."""
+
+    @pytest.fixture()
+    def lying_server(self, hops, monkeypatch):
+        hop = hops["Q3"]
+        monkeypatch.setattr(hop.cloud.controller, "auto_respond", False)
+
+        def install(corrupt):
+            for name in ("_measure", "_measure_batch"):
+                honest = getattr(hop.server, name)
+                monkeypatch.setattr(
+                    hop.server, name,
+                    lambda *args, honest=honest: corrupt(honest(*args)),
+                )
+            return hop
+
+        return install
+
+    @staticmethod
+    def assert_failed_closed(report):
+        assert not report.healthy
+        assert "measurement collection failed" in report.explanation
+
+    @pytest.mark.parametrize(
+        "field",
+        [msg.KEY_NONCE, msg.KEY_QUOTE, msg.KEY_SIGNATURE, msg.KEY_SESSION_CERT],
+    )
+    def test_attest(self, lying_server, field):
+        hop = lying_server(stringify(field))
+        self.assert_failed_closed(hop.customer.attest(hop.vids[0], PROP).report)
+
+    @pytest.mark.parametrize(
+        "field",
+        [msg.KEY_NONCE, msg.KEY_QUOTE, msg.KEY_SIGNATURE, msg.KEY_SESSION_CERT],
+    )
+    def test_attest_fleet(self, lying_server, field):
+        hop = lying_server(stringify(field))
+        results = hop.customer.attest_fleet([(vid, PROP) for vid in hop.vids])
+        assert len(results) == 3
+        for result in results:
+            self.assert_failed_closed(result.report)
+
+    def test_attest_fleet_with_str_batch_root_falls_back(self, lying_server):
+        """Only the batch form has a root: the failed batch falls back
+        to per-round rounds, which the server answers honestly."""
+        hop = lying_server(stringify(msg.KEY_BATCH_ROOT))
+        results = hop.customer.attest_fleet([(vid, PROP) for vid in hop.vids])
+        assert [result.report.healthy for result in results] == [True] * 3
