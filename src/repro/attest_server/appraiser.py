@@ -78,32 +78,31 @@ class OatAppraiser:
         evidence, not noise.
         """
 
-        def attempt() -> tuple[bytes, dict]:
-            fresh = self._nonces.fresh()
+        def attempt() -> tuple[dict, dict]:
             request = {
                 msg.KEY_TYPE: msg.MSG_MEASURE_REQUEST,
                 msg.KEY_VID: str(vid),
                 msg.KEY_REQUESTED: list(measurements),
-                msg.KEY_NONCE: bytes(fresh),
+                msg.KEY_NONCE: bytes(self._nonces.fresh()),
                 msg.KEY_WINDOW: window_ms,
                 "params": params or {},
             }
             context = self.telemetry.context()
             if context is not None:
                 request[KEY_TRACE] = context
-            return bytes(fresh), self._endpoint.call(str(server), request)
+            return request, self._endpoint.call(str(server), request)
 
         with self.telemetry.span(
             SPAN_Q3, server=str(server), vid=str(vid)
         ):
-            nonce, response = self._retry.run(attempt)
+            request, response = self._retry.run(attempt)
         signed = evidence.verify_round(
             evidence.Q3,
+            request,
             response,
-            {msg.KEY_VID: str(vid), msg.KEY_REQUESTED: list(measurements)},
-            nonce if self.check_nonces else None,
             self._session_key if self.check_signatures else None,
             seen=self._seen_nonces,
+            check_nonces=self.check_nonces,
             telemetry=self.telemetry,
         )
         return self._answered(measurements, signed[msg.KEY_MEASUREMENTS])
@@ -147,14 +146,13 @@ class OatAppraiser:
         falls back to per-round :meth:`collect` so retries target the
         logical round rather than the shared batch.
         """
-        nonces = [bytes(self._nonces.fresh()) for _ in vids]
         entries = [
             {
                 msg.KEY_VID: str(vid),
                 msg.KEY_REQUESTED: list(measurements),
-                msg.KEY_NONCE: nonce,
+                msg.KEY_NONCE: bytes(self._nonces.fresh()),
             }
-            for vid, nonce in zip(vids, nonces)
+            for vid in vids
         ]
         request = {
             msg.KEY_TYPE: msg.MSG_MEASURE_BATCH_REQUEST,
@@ -171,14 +169,11 @@ class OatAppraiser:
             response = self._endpoint.call(str(server), request)
         verified = evidence.verify_batch(
             evidence.Q3,
+            entries,
             response,
-            [
-                {msg.KEY_VID: str(vid), msg.KEY_REQUESTED: list(measurements)}
-                for vid in vids
-            ],
-            nonces if self.check_nonces else None,
             self._session_key if self.check_signatures else None,
             seen=self._seen_nonces,
+            check_nonces=self.check_nonces,
             telemetry=self.telemetry,
         )
         return [

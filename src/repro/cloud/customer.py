@@ -246,10 +246,9 @@ class Customer:
                 customer=self.name,
             )
 
-        def attempt() -> tuple[bytes, dict]:
+        def attempt() -> tuple[dict, dict]:
             # a retry is a fresh protocol round: new nonce N1, so the
             # controller's replay cache never rejects it
-            nonce = self._nonces.fresh()
             request = {
                 msg.KEY_TYPE: (
                     "startup_attest_current"
@@ -258,7 +257,7 @@ class Customer:
                 ),
                 msg.KEY_VID: str(vid),
                 msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: bytes(nonce),
+                msg.KEY_NONCE: bytes(self._nonces.fresh()),
             }
             if window_ms is not None:
                 request[msg.KEY_WINDOW] = float(window_ms)
@@ -267,22 +266,25 @@ class Customer:
                 request[KEY_TRACE] = context
             if rid is not None:
                 request[KEY_ROUND] = rid
-            return bytes(nonce), self.endpoint.call(self._controller, request)
+            return request, self.endpoint.call(self._controller, request)
 
         with self.telemetry.round_scope(rid):
             with self.telemetry.span(
                 SPAN_Q1, customer=self.name, vid=str(vid), property=prop.value
             ):
                 try:
-                    nonce, response = self._retry.run(attempt)
+                    request, response = self._retry.run(attempt)
                 except CloudMonattError as exc:
                     if not is_transient(exc):
                         raise
                     result = self._degraded_attestation(vid, prop, exc)
                 else:
-                    report = self._verify_report(vid, prop, nonce, response)
+                    signed = evidence.verify_round(
+                        evidence.Q1, request, response, self._controller_key_for,
+                        telemetry=self.telemetry,
+                    )
                     result = VerifiedAttestation(
-                        report=report,
+                        report=PropertyReport.from_dict(signed[msg.KEY_REPORT]),
                         attest_ms=float(response.get("attest_ms", 0.0)),
                         response=response.get("response"),
                         certificate=response.get("certificate"),
@@ -325,13 +327,11 @@ class Customer:
             range(total),
             key=lambda i: (str(requests[i][0]), requests[i][1].value),
         )
-        nonces: list[bytes] = [b""] * total
         entries = []
         rids: list[Optional[str]] = [None] * total
         for index in order:
             vid, prop = requests[index]
             nonce = bytes(self._nonces.fresh())
-            nonces[index] = nonce
             # each logical round in the batch is its own flight-recorder
             # round: mint here (the round starts at the customer) and
             # carry the id inside the wire entry so the controller's
@@ -388,25 +388,18 @@ class Customer:
                 # no shared batch survived, so there is no root to bind
                 return FleetAttestation(fallback, None) if with_root else fallback
             verified = evidence.verify_batch(
-                evidence.Q1,
-                response,
-                [
-                    {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value}
-                    for vid, prop in requests
-                ],
-                nonces,
-                self._controller_key_for,
+                evidence.Q1, entries, response, self._controller_key_for,
                 telemetry=self.telemetry,
             )
-            results = [
-                VerifiedAttestation(
+            # entries went out sorted; results align with ``requests``
+            results: list = [None] * total
+            for index, entry in zip(order, verified):
+                results[index] = VerifiedAttestation(
                     report=PropertyReport.from_dict(entry[msg.KEY_REPORT]),
                     attest_ms=float(entry.get("attest_ms", 0.0)),
                     response=entry.get("response"),
                     certificate=None,
                 )
-                for entry in verified
-            ]
         for (vid, prop), rid, result in zip(requests, rids, results):
             if rid is None:
                 continue
@@ -464,25 +457,20 @@ class Customer:
         last error propagates (there is no meaningful degraded form of
         raw measurements)."""
 
-        def attempt() -> tuple[bytes, dict]:
-            fresh = self._nonces.fresh()
+        def attempt() -> tuple[dict, dict]:
             request = {
                 msg.KEY_TYPE: "runtime_collect_raw",
                 msg.KEY_VID: str(vid),
                 msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: bytes(fresh),
+                msg.KEY_NONCE: bytes(self._nonces.fresh()),
             }
             if window_ms is not None:
                 request[msg.KEY_WINDOW] = float(window_ms)
-            return bytes(fresh), self.endpoint.call(self._controller, request)
+            return request, self.endpoint.call(self._controller, request)
 
-        nonce, response = self._retry.run(attempt)
+        request, response = self._retry.run(attempt)
         signed = evidence.verify_round(
-            evidence.Q1_RAW,
-            response,
-            {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value},
-            nonce,
-            self._controller_key_for,
+            evidence.Q1_RAW, request, response, self._controller_key_for,
             telemetry=self.telemetry,
         )
         return signed[msg.KEY_MEASUREMENTS]
@@ -561,19 +549,6 @@ class Customer:
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
-
-    def _verify_report(
-        self, vid: VmId, prop: SecurityProperty, nonce: bytes, response: dict
-    ) -> PropertyReport:
-        signed = evidence.verify_round(
-            evidence.Q1,
-            response,
-            {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value},
-            nonce,
-            self._controller_key_for,
-            telemetry=self.telemetry,
-        )
-        return PropertyReport.from_dict(signed[msg.KEY_REPORT])
 
     def _controller_key_for(self, _response: dict) -> RsaPublicKey:
         """Q1 evidence verifies under the controller's key VKc."""

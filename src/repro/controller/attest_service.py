@@ -174,16 +174,15 @@ class AttestService:
                 reason="circuit open", started=started,
             )
 
-        def attempt() -> dict:
+        def attempt() -> tuple[dict, dict]:
             # each retry is a fresh round with a fresh nonce N2, so the
             # AS replay cache accepts it
-            fresh = self._nonces.fresh()
             request = {
                 msg.KEY_TYPE: msg.MSG_ATTEST_REQUEST,
                 msg.KEY_VID: str(vid),
                 msg.KEY_SERVER: str(record.server),
                 msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: bytes(fresh),
+                msg.KEY_NONCE: bytes(self._nonces.fresh()),
             }
             if window_ms is not None:
                 request[msg.KEY_WINDOW] = float(window_ms)
@@ -192,13 +191,13 @@ class AttestService:
             context = self.telemetry.context()
             if context is not None:
                 request[KEY_TRACE] = context
-            return {"nonce": bytes(fresh), "response": self._endpoint.call(as_name, request)}
+            return request, self._endpoint.call(as_name, request)
 
         with self.telemetry.span(
             SPAN_Q2, vid=str(vid), property=prop.value, attestation_server=as_name
         ):
             try:
-                round_result = self._retry.run(attempt)
+                request, response = self._retry.run(attempt)
             except CloudMonattError as exc:
                 if not is_transient(exc):
                     raise
@@ -214,10 +213,12 @@ class AttestService:
                     )
                 raise
             breaker.record_success()
-            nonce = round_result["nonce"]
-            response = round_result["response"]
             try:
-                report = self._validate(vid, prop, bytes(nonce), response, as_name)
+                signed = evidence.verify_round(
+                    evidence.Q2, request, response, self._as_key(as_name),
+                    telemetry=self.telemetry,
+                )
+                report = PropertyReport.from_dict(signed[msg.KEY_REPORT])
             except (ProtocolError, ReplayError, SignatureError) as exc:
                 self.telemetry.observe_event(
                     "verification_failure",
@@ -338,20 +339,15 @@ class AttestService:
     ) -> list[AttestationOutcome]:
         """One batched wire round against one Attestation Server."""
         chunk_started = self.cost.engine.now
-        entries = []
-        nonces = []
-        for index in chunk:
-            vid, prop = requests[index]
-            fresh = bytes(self._nonces.fresh())
-            nonces.append(fresh)
-            entries.append(
-                {
-                    msg.KEY_VID: str(vid),
-                    msg.KEY_SERVER: str(records[index].server),
-                    msg.KEY_PROPERTY: prop.value,
-                    msg.KEY_NONCE: fresh,
-                }
-            )
+        entries = [
+            {
+                msg.KEY_VID: str(requests[index][0]),
+                msg.KEY_SERVER: str(records[index].server),
+                msg.KEY_PROPERTY: requests[index][1].value,
+                msg.KEY_NONCE: bytes(self._nonces.fresh()),
+            }
+            for index in chunk
+        ]
         request = {
             msg.KEY_TYPE: msg.MSG_ATTEST_BATCH_REQUEST,
             msg.KEY_ENTRIES: entries,
@@ -372,14 +368,7 @@ class AttestService:
             response = self._endpoint.call(as_name, request)
 
         verified = evidence.verify_batch(
-            evidence.Q2,
-            response,
-            [
-                {msg.KEY_VID: entry[msg.KEY_VID], msg.KEY_PROPERTY: entry[msg.KEY_PROPERTY]}
-                for entry in entries
-            ],
-            nonces,
-            self._as_key(as_name),
+            evidence.Q2, entries, response, self._as_key(as_name),
             telemetry=self.telemetry,
         )
         reports = [PropertyReport.from_dict(entry[msg.KEY_REPORT]) for entry in verified]
@@ -475,26 +464,21 @@ class AttestService:
         self.cost.charge("db_access")
         as_name = self._as_for(record)
 
-        def attempt() -> tuple[bytes, dict]:
-            fresh = self._nonces.fresh()
+        def attempt() -> tuple[dict, dict]:
             request = {
                 msg.KEY_TYPE: "raw_measure_request",
                 msg.KEY_VID: str(vid),
                 msg.KEY_SERVER: str(record.server),
                 msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: bytes(fresh),
+                msg.KEY_NONCE: bytes(self._nonces.fresh()),
             }
             if window_ms is not None:
                 request[msg.KEY_WINDOW] = float(window_ms)
-            return bytes(fresh), self._endpoint.call(as_name, request)
+            return request, self._endpoint.call(as_name, request)
 
-        nonce, response = self._retry.run(attempt)
+        request, response = self._retry.run(attempt)
         signed = evidence.verify_round(
-            evidence.Q2_RAW,
-            response,
-            {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value},
-            nonce,
-            self._as_key(as_name),
+            evidence.Q2_RAW, request, response, self._as_key(as_name),
             telemetry=self.telemetry,
         )
         return signed[msg.KEY_MEASUREMENTS]
@@ -511,17 +495,3 @@ class AttestService:
             return as_key
 
         return key
-
-    def _validate(
-        self, vid: VmId, prop: SecurityProperty, nonce: bytes, response: dict,
-        as_name: str,
-    ) -> PropertyReport:
-        signed = evidence.verify_round(
-            evidence.Q2,
-            response,
-            {msg.KEY_VID: str(vid), msg.KEY_PROPERTY: prop.value},
-            nonce,
-            self._as_key(as_name),
-            telemetry=self.telemetry,
-        )
-        return PropertyReport.from_dict(signed[msg.KEY_REPORT])

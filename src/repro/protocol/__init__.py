@@ -8,33 +8,3 @@ the hop's content, signed by the producing entity's key (SKc / SKa /
 ASKs). :mod:`repro.protocol.evidence` signs and verifies that evidence
 for every hop.
 """
-
-from repro.protocol.messages import (
-    KEY_HEALTHY,
-    KEY_MEASUREMENTS,
-    KEY_NONCE,
-    KEY_PROPERTY,
-    KEY_QUOTE,
-    KEY_REPORT,
-    KEY_REQUESTED,
-    KEY_SERVER,
-    KEY_SIGNATURE,
-    KEY_VID,
-)
-from repro.protocol.quotes import attestation_quote, report_quote_q1, report_quote_q2
-
-__all__ = [
-    "KEY_HEALTHY",
-    "KEY_MEASUREMENTS",
-    "KEY_NONCE",
-    "KEY_PROPERTY",
-    "KEY_QUOTE",
-    "KEY_REPORT",
-    "KEY_REQUESTED",
-    "KEY_SERVER",
-    "KEY_SIGNATURE",
-    "KEY_VID",
-    "attestation_quote",
-    "report_quote_q1",
-    "report_quote_q2",
-]

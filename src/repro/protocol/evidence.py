@@ -12,8 +12,10 @@ forms:
   over the leaves) and one ``signature`` over ``{entries, batch_root}``.
 
 A :class:`Hop` names what differs between the hops: the quote function,
-the quoted fields and the exception a quote mismatch raises. Each form
-has one signer and one verifier here. The verifier's checks, in order:
+the quoted fields, the fields that must echo the request and the
+exception a quote mismatch raises. Each form has one signer and one
+verifier here; a verifier checks the response against the request the
+caller sent. Its checks, in order:
 
 1. the required fields are present and of the right type (a wrong-typed
    field is a :class:`ProtocolError`, never a raw ``TypeError``);
@@ -56,7 +58,7 @@ from repro.protocol.quotes import (
 from repro.telemetry import Telemetry
 
 #: the wire type of every field the evidence module reads
-FIELD_TYPES: dict[str, type] = {
+_FIELD_TYPES: dict[str, type] = {
     msg.KEY_VID: str,
     msg.KEY_SERVER: str,
     msg.KEY_PROPERTY: str,
@@ -85,6 +87,8 @@ class Hop:
     quote: Callable[..., bytes]
     #: the quoted fields, in the quote function's argument order
     fields: tuple[str, ...]
+    #: the quoted fields that must echo the request
+    named: tuple[str, ...]
     #: raised when the quote does not recompute
     mismatch: type[CloudMonattError]
 
@@ -92,17 +96,17 @@ class Hop:
 Q3 = Hop(
     "Q3", "cloud server", attestation_quote,
     (msg.KEY_VID, msg.KEY_REQUESTED, msg.KEY_MEASUREMENTS),
-    SignatureError,
+    (msg.KEY_VID, msg.KEY_REQUESTED), SignatureError,
 )
 Q2 = Hop(
     "Q2", "attestation server", report_quote_q2,
     (msg.KEY_VID, msg.KEY_SERVER, msg.KEY_PROPERTY, msg.KEY_REPORT),
-    ProtocolError,
+    (msg.KEY_VID, msg.KEY_PROPERTY), ProtocolError,
 )
 Q1 = Hop(
     "Q1", "controller", report_quote_q1,
     (msg.KEY_VID, msg.KEY_PROPERTY, msg.KEY_REPORT),
-    ProtocolError,
+    (msg.KEY_VID, msg.KEY_PROPERTY), ProtocolError,
 )
 #: pass-through mode (paper §4.1): raw measurements M in place of R
 Q2_RAW = replace(
@@ -122,7 +126,7 @@ def field(message: Any, key: str) -> Any:
     if key not in message:
         raise ProtocolError(f"message missing required field {key!r}")
     value = message[key]
-    kind = FIELD_TYPES[key]
+    kind = _FIELD_TYPES[key]
     if not isinstance(value, kind):
         raise ProtocolError(
             f"field {key!r} is {type(value).__name__}, expected {kind.__name__}"
@@ -179,13 +183,14 @@ def _signed(hop: Hop, entry: Any) -> dict:
 
 
 def _bind(
-    hop: Hop, signed: dict, expected: dict, telemetry: Optional[Telemetry]
+    hop: Hop, signed: dict, request: dict, telemetry: Optional[Telemetry]
 ) -> bytes:
     """Steps 5 and 6 for one entry; returns its recomputed quote."""
-    quote = _quote(hop, {**signed, **expected}, telemetry)
+    named = {key: request[key] for key in hop.named}
+    quote = _quote(hop, {**signed, **named}, telemetry)
     if signed[msg.KEY_QUOTE] != quote:
         raise hop.mismatch(f"quote {hop.name} does not bind the {hop.fields[-1]}")
-    for key, value in expected.items():
+    for key, value in named.items():
         if signed[key] != value:
             raise ProtocolError(f"{hop.name} evidence names a different {key}")
     return quote
@@ -197,55 +202,54 @@ def _stale(hop: Hop) -> ReplayError:
 
 def verify_round(
     hop: Hop,
+    request: dict,
     response: Any,
-    expected: dict,
-    nonce: Optional[bytes],
     key: KeyFor,
     seen: Optional[NonceCache] = None,
+    check_nonces: bool = True,
     telemetry: Optional[Telemetry] = None,
 ) -> dict:
-    """Check single-form evidence; return its signed fields.
+    """Check single-form evidence against the ``request`` it answers;
+    return its signed fields.
 
-    ``expected`` maps the fields that must echo the request (VM,
-    property or measurements) to their requested values. ``nonce`` is
-    the fresh nonce the request carried (``None`` skips the echo check,
-    the appraiser's ablation switch); ``seen`` additionally rejects a
-    nonce echoed twice.
+    ``seen`` additionally rejects a nonce echoed twice;
+    ``check_nonces=False`` skips the echo checks (the appraiser's
+    ablation switch).
     """
     signed = _signed(hop, response)
     signature = field(response, msg.KEY_SIGNATURE)
-    if nonce is not None:
-        if signed[msg.KEY_NONCE] != nonce:
+    if check_nonces:
+        if signed[msg.KEY_NONCE] != request[msg.KEY_NONCE]:
             raise _stale(hop)
         if seen is not None:
-            seen.check_and_store(nonce)
+            seen.check_and_store(signed[msg.KEY_NONCE])
     if key is not None:
         verify(key(response), signed, signature)
-    _bind(hop, signed, expected, telemetry)
+    _bind(hop, signed, request, telemetry)
     return signed
 
 
 def verify_batch(
     hop: Hop,
+    requests: list[dict],
     response: Any,
-    expected: list[dict],
-    nonces: Optional[list[bytes]],
     key: KeyFor,
     seen: Optional[NonceCache] = None,
+    check_nonces: bool = True,
     telemetry: Optional[Telemetry] = None,
 ) -> list[dict]:
-    """Check batch-form evidence; return its entries in request order.
+    """Check batch-form evidence against the request ``entries`` it
+    answers; return its entries in request order.
 
-    ``expected[i]`` and ``nonces[i]`` describe request ``i``. Entries
-    pair with requests by nonce; with ``nonces=None`` (nonce checks
-    off) they pair by position.
+    Entries pair with requests by nonce; with ``check_nonces=False``
+    they pair by position.
     """
     entries = field(response, msg.KEY_ENTRIES)
     batch_root = field(response, msg.KEY_BATCH_ROOT)
     signature = field(response, msg.KEY_SIGNATURE)
-    if len(entries) != len(expected):
+    if len(entries) != len(requests):
         raise ProtocolError(
-            f"{hop.name} batch has {len(entries)} entries, expected {len(expected)}"
+            f"{hop.name} batch has {len(entries)} entries, expected {len(requests)}"
         )
     if key is not None:
         verify(
@@ -253,20 +257,19 @@ def verify_batch(
             {msg.KEY_ENTRIES: entries, msg.KEY_BATCH_ROOT: batch_root},
             signature,
         )
-    requested = None if nonces is None else {n: i for i, n in enumerate(nonces)}
-    paired: list[Optional[dict]] = [None] * len(expected)
+    by_nonce = {request[msg.KEY_NONCE]: i for i, request in enumerate(requests)}
+    paired: list[Optional[dict]] = [None] * len(requests)
     leaves = []
     for position, entry in enumerate(entries):
         signed = _signed(hop, entry)
-        if requested is None:
-            index = position
-        else:
-            index = requested.get(signed[msg.KEY_NONCE])
+        index = position
+        if check_nonces:
+            index = by_nonce.get(signed[msg.KEY_NONCE])
             if index is None or paired[index] is not None:
                 raise _stale(hop)
             if seen is not None:
                 seen.check_and_store(signed[msg.KEY_NONCE])
-        leaves.append(_bind(hop, signed, expected[index], telemetry))
+        leaves.append(_bind(hop, signed, requests[index], telemetry))
         paired[index] = entry
     if merkle_root(leaves, telemetry=telemetry) != batch_root:
         raise SignatureError("batch root does not bind the per-entry quotes")
