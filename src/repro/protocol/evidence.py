@@ -27,7 +27,8 @@ caller sent. Its checks, in order:
    is free (the batch signature and root bind whatever order it chose);
 5. the quote recomputes over the *requested* names and the returned
    content (``hop.mismatch`` otherwise);
-6. the entry names the requested VM and property (or measurements);
+6. the entry names the requested VM, property (or measurements) and,
+   at Q2, cloud server;
 7. a batch root equals the Merkle root over the recomputed leaves.
 
 Nothing here advances simulated time: signers and ``key`` callbacks
@@ -101,7 +102,7 @@ Q3 = Hop(
 Q2 = Hop(
     "Q2", "attestation server", report_quote_q2,
     (msg.KEY_VID, msg.KEY_SERVER, msg.KEY_PROPERTY, msg.KEY_REPORT),
-    (msg.KEY_VID, msg.KEY_PROPERTY), ProtocolError,
+    (msg.KEY_VID, msg.KEY_SERVER, msg.KEY_PROPERTY), ProtocolError,
 )
 Q1 = Hop(
     "Q1", "controller", report_quote_q1,

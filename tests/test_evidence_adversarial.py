@@ -482,6 +482,25 @@ class TestBatchForm:
         assert_rejected(expected, hop.run_batch)
 
 
+class TestRenamedServer:
+    """Q2 also names the cloud server: a report on another server than
+    the one the controller asked about is rejected, however signed."""
+
+    @staticmethod
+    def rename(hop, entry):
+        entry[msg.KEY_SERVER] = "server-0999"
+        hop.requote(entry)
+        return True
+
+    def test_single_rejected(self, lie):
+        hop = lie("Q2", single_form(self.rename))
+        assert_rejected(ProtocolError, hop.run_single)
+
+    def test_batch_rejected(self, lie):
+        hop = lie("Q2", batch_form(self.rename))
+        assert_rejected(ProtocolError, hop.run_batch)
+
+
 class TestReorder:
     """An honest producer that re-signs its entries in another order.
 
