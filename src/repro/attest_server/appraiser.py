@@ -26,7 +26,7 @@ from repro.network.secure_channel import SecureEndpoint
 from repro.protocol import evidence
 from repro.protocol import messages as msg
 from repro.resilience import RetryExecutor, RetryPolicy
-from repro.telemetry import KEY_TRACE, NULL_TELEMETRY, SPAN_Q3, Telemetry
+from repro.telemetry import NULL_TELEMETRY, SPAN_Q3, Telemetry
 
 
 class OatAppraiser:
@@ -79,17 +79,13 @@ class OatAppraiser:
         """
 
         def attempt() -> tuple[dict, dict]:
-            request = {
-                msg.KEY_TYPE: msg.MSG_MEASURE_REQUEST,
-                msg.KEY_VID: str(vid),
-                msg.KEY_REQUESTED: list(measurements),
-                msg.KEY_NONCE: bytes(self._nonces.fresh()),
-                msg.KEY_WINDOW: window_ms,
-                "params": params or {},
-            }
-            context = self.telemetry.context()
-            if context is not None:
-                request[KEY_TRACE] = context
+            request = evidence.request(
+                evidence.Q3, msg.MSG_MEASURE_REQUEST,
+                (str(vid), list(measurements), self._nonces.fresh()),
+                window_ms=window_ms,
+                trace=self.telemetry.context(),
+            )
+            request["params"] = params or {}
             return request, self._endpoint.call(str(server), request)
 
         with self.telemetry.span(
@@ -146,30 +142,20 @@ class OatAppraiser:
         falls back to per-round :meth:`collect` so retries target the
         logical round rather than the shared batch.
         """
-        entries = [
-            {
-                msg.KEY_VID: str(vid),
-                msg.KEY_REQUESTED: list(measurements),
-                msg.KEY_NONCE: bytes(self._nonces.fresh()),
-            }
-            for vid in vids
-        ]
-        request = {
-            msg.KEY_TYPE: msg.MSG_MEASURE_BATCH_REQUEST,
-            msg.KEY_ENTRIES: entries,
-            msg.KEY_WINDOW: window_ms,
-            "params": params or {},
-        }
-        context = self.telemetry.context()
-        if context is not None:
-            request[KEY_TRACE] = context
+        request = evidence.request_batch(
+            evidence.Q3, msg.MSG_MEASURE_BATCH_REQUEST,
+            [(str(vid), list(measurements), self._nonces.fresh()) for vid in vids],
+            window_ms=window_ms,
+            trace=self.telemetry.context(),
+        )
+        request["params"] = params or {}
         with self.telemetry.span(
             SPAN_Q3, server=str(server), vid=f"batch:{len(vids)}"
         ):
             response = self._endpoint.call(str(server), request)
         verified = evidence.verify_batch(
             evidence.Q3,
-            entries,
+            request[msg.KEY_ENTRIES],
             response,
             self._session_key if self.check_signatures else None,
             seen=self._seen_nonces,

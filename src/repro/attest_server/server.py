@@ -42,6 +42,15 @@ from repro.telemetry import (
 ATTESTATION_SERVER_ENDPOINT = "attestation-server"
 
 
+def _named(accepted: dict) -> tuple[VmId, ServerId, SecurityProperty]:
+    """The VM, cloud server and property an accepted Q2 request names."""
+    return (
+        VmId(accepted[msg.KEY_VID]),
+        ServerId(accepted[msg.KEY_SERVER]),
+        SecurityProperty(accepted[msg.KEY_PROPERTY]),
+    )
+
+
 class AttestationServer:
     """The attestation requester/appraiser entity (paper §3.2.3)."""
 
@@ -110,14 +119,8 @@ class AttestationServer:
             raise ProtocolError(
                 f"attestation server: unknown request {body.get(msg.KEY_TYPE)!r}"
             )
-        msg.require_fields(
-            body, msg.KEY_VID, msg.KEY_SERVER, msg.KEY_PROPERTY, msg.KEY_NONCE
-        )
-        vid = VmId(body[msg.KEY_VID])
-        server = ServerId(body[msg.KEY_SERVER])
-        prop = SecurityProperty(body[msg.KEY_PROPERTY])
-        nonce_n2 = bytes(body[msg.KEY_NONCE])
-        self._seen_n2.check_and_store(nonce_n2)
+        accepted = evidence.accept(evidence.Q2, body, self._seen_n2)
+        vid, server, prop = _named(accepted)
 
         with self.telemetry.span(
             SPAN_ATTEST_ROUND,
@@ -139,13 +142,7 @@ class AttestationServer:
                 certificate = self._certify(vid, prop, report)
             signed = evidence.sign_round(
                 evidence.Q2,
-                {
-                    msg.KEY_VID: str(vid),
-                    msg.KEY_SERVER: str(server),
-                    msg.KEY_PROPERTY: prop.value,
-                    msg.KEY_REPORT: report.to_dict(),
-                    msg.KEY_NONCE: nonce_n2,
-                },
+                {**accepted, msg.KEY_REPORT: report.to_dict()},
                 self.endpoint.sign,
                 self.telemetry,
             )
@@ -163,53 +160,30 @@ class AttestationServer:
         but the revocation obligation is preserved: an unhealthy report
         still revokes the VM's stale healthy certificates.
         """
-        msg.require_fields(body, msg.KEY_ENTRIES)
-        raw_entries = list(body[msg.KEY_ENTRIES])
-        if not raw_entries:
-            raise ProtocolError("attest batch has no entries")
-        parsed = []
-        for entry in raw_entries:
-            msg.require_fields(
-                entry, msg.KEY_VID, msg.KEY_SERVER, msg.KEY_PROPERTY, msg.KEY_NONCE
-            )
-            nonce = bytes(entry[msg.KEY_NONCE])
-            self._seen_n2.check_and_store(nonce)
-            parsed.append(
-                (
-                    VmId(entry[msg.KEY_VID]),
-                    ServerId(entry[msg.KEY_SERVER]),
-                    SecurityProperty(entry[msg.KEY_PROPERTY]),
-                    nonce,
-                )
-            )
-        parsed.sort(key=lambda item: (str(item[0]), item[3]))
+        accepted = sorted(
+            evidence.accept_batch(evidence.Q2, body, self._seen_n2),
+            key=evidence.entry_order,
+        )
+        named = [_named(entry) for entry in accepted]
 
         with self.telemetry.span(
             SPAN_ATTEST_ROUND,
             remote_parent=body.get(KEY_TRACE),
-            vid=f"batch:{len(parsed)}",
+            vid=f"batch:{len(accepted)}",
             server="*",
             property="*",
         ):
             reports = self.attest_batch(
-                [(vid, server, prop) for vid, server, prop, _ in parsed],
+                named,
                 window_ms=body.get(msg.KEY_WINDOW),
                 accumulate=bool(body.get("accumulate", False)),
             )
             out_entries = []
-            for (vid, server, prop, nonce), report in zip(parsed, reports):
+            for entry, (vid, _server, prop), report in zip(accepted, named, reports):
                 if not report.healthy:
                     for serial in self._healthy_serials.pop((vid, prop.value), []):
                         self.certification.revoke(serial)
-                out_entries.append(
-                    {
-                        msg.KEY_VID: str(vid),
-                        msg.KEY_SERVER: str(server),
-                        msg.KEY_PROPERTY: prop.value,
-                        msg.KEY_REPORT: report.to_dict(),
-                        msg.KEY_NONCE: nonce,
-                    }
-                )
+                out_entries.append({**entry, msg.KEY_REPORT: report.to_dict()})
             self.cost.charge("report_sign")
             return evidence.sign_batch(
                 evidence.Q2, out_entries, self.endpoint.sign, self.telemetry
@@ -234,14 +208,8 @@ class AttestationServer:
         Server may just pass back the measurements M' without performing
         any interpretation". Everything cryptographic is still checked.
         """
-        msg.require_fields(
-            body, msg.KEY_VID, msg.KEY_SERVER, msg.KEY_PROPERTY, msg.KEY_NONCE
-        )
-        vid = VmId(body[msg.KEY_VID])
-        server = ServerId(body[msg.KEY_SERVER])
-        prop = SecurityProperty(body[msg.KEY_PROPERTY])
-        nonce_n2 = bytes(body[msg.KEY_NONCE])
-        self._seen_n2.check_and_store(nonce_n2)
+        accepted = evidence.accept(evidence.Q2_RAW, body, self._seen_n2)
+        vid, server, prop = _named(accepted)
         spec = self.catalog.spec(prop)
         window = body.get(msg.KEY_WINDOW)
         measurements = self.appraiser.collect(
@@ -251,13 +219,7 @@ class AttestationServer:
         self.cost.charge("report_sign")
         return evidence.sign_round(
             evidence.Q2_RAW,
-            {
-                msg.KEY_VID: str(vid),
-                msg.KEY_SERVER: str(server),
-                msg.KEY_PROPERTY: prop.value,
-                msg.KEY_MEASUREMENTS: measurements,
-                msg.KEY_NONCE: nonce_n2,
-            },
+            {**accepted, msg.KEY_MEASUREMENTS: measurements},
             self.endpoint.sign,
             self.telemetry,
         )

@@ -30,7 +30,7 @@ from repro.properties.report import PropertyReport
 from repro.protocol import evidence
 from repro.protocol import messages as msg
 from repro.resilience import RetryExecutor, RetryPolicy, is_transient
-from repro.telemetry import KEY_ROUND, KEY_TRACE, NULL_TELEMETRY, SPAN_Q1, Telemetry
+from repro.telemetry import KEY_ROUND, NULL_TELEMETRY, SPAN_Q1, Telemetry
 from repro.telemetry.observatory.flightrecorder import outcome_verdict
 
 
@@ -249,21 +249,13 @@ class Customer:
         def attempt() -> tuple[dict, dict]:
             # a retry is a fresh protocol round: new nonce N1, so the
             # controller's replay cache never rejects it
-            request = {
-                msg.KEY_TYPE: (
-                    "startup_attest_current"
-                    if at_startup
-                    else "runtime_attest_current"
-                ),
-                msg.KEY_VID: str(vid),
-                msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: bytes(self._nonces.fresh()),
-            }
-            if window_ms is not None:
-                request[msg.KEY_WINDOW] = float(window_ms)
-            context = self.telemetry.context()
-            if context is not None:
-                request[KEY_TRACE] = context
+            request = evidence.request(
+                evidence.Q1,
+                "startup_attest_current" if at_startup else "runtime_attest_current",
+                (str(vid), prop.value, self._nonces.fresh()),
+                window_ms=window_ms,
+                trace=self.telemetry.context(),
+            )
             if rid is not None:
                 request[KEY_ROUND] = rid
             return request, self.endpoint.call(self._controller, request)
@@ -284,7 +276,7 @@ class Customer:
                         telemetry=self.telemetry,
                     )
                     result = VerifiedAttestation(
-                        report=PropertyReport.from_dict(signed[msg.KEY_REPORT]),
+                        report=evidence.report(signed),
                         attest_ms=float(response.get("attest_ms", 0.0)),
                         response=response.get("response"),
                         certificate=response.get("certificate"),
@@ -327,11 +319,11 @@ class Customer:
             range(total),
             key=lambda i: (str(requests[i][0]), requests[i][1].value),
         )
-        entries = []
+        values = []
         rids: list[Optional[str]] = [None] * total
         for index in order:
             vid, prop = requests[index]
-            nonce = bytes(self._nonces.fresh())
+            nonce = self._nonces.fresh()
             # each logical round in the batch is its own flight-recorder
             # round: mint here (the round starts at the customer) and
             # carry the id inside the wire entry so the controller's
@@ -347,23 +339,15 @@ class Customer:
                     source="fleet",
                     customer=self.name,
                 )
-            entry = {
-                msg.KEY_VID: str(vid),
-                msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: nonce,
-            }
-            if rid is not None:
-                entry[KEY_ROUND] = rid
-            entries.append(entry)
-        request = {
-            msg.KEY_TYPE: msg.MSG_ATTEST_FLEET,
-            msg.KEY_ENTRIES: entries,
-        }
-        if window_ms is not None:
-            request[msg.KEY_WINDOW] = float(window_ms)
-        context = self.telemetry.context()
-        if context is not None:
-            request[KEY_TRACE] = context
+            values.append((str(vid), prop.value, nonce))
+        request = evidence.request_batch(
+            evidence.Q1, msg.MSG_ATTEST_FLEET, values,
+            window_ms=window_ms, trace=self.telemetry.context(),
+        )
+        entries = request[msg.KEY_ENTRIES]
+        for index, entry in zip(order, entries):
+            if rids[index] is not None:
+                entry[KEY_ROUND] = rids[index]
         span_attrs: dict = {
             "customer": self.name, "vid": f"batch:{total}", "property": "*",
         }
@@ -395,7 +379,7 @@ class Customer:
             results: list = [None] * total
             for index, entry in zip(order, verified):
                 results[index] = VerifiedAttestation(
-                    report=PropertyReport.from_dict(entry[msg.KEY_REPORT]),
+                    report=evidence.report(entry),
                     attest_ms=float(entry.get("attest_ms", 0.0)),
                     response=entry.get("response"),
                     certificate=None,
@@ -458,14 +442,11 @@ class Customer:
         raw measurements)."""
 
         def attempt() -> tuple[dict, dict]:
-            request = {
-                msg.KEY_TYPE: "runtime_collect_raw",
-                msg.KEY_VID: str(vid),
-                msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: bytes(self._nonces.fresh()),
-            }
-            if window_ms is not None:
-                request[msg.KEY_WINDOW] = float(window_ms)
+            request = evidence.request(
+                evidence.Q1_RAW, "runtime_collect_raw",
+                (str(vid), prop.value, self._nonces.fresh()),
+                window_ms=window_ms,
+            )
             return request, self.endpoint.call(self._controller, request)
 
         request, response = self._retry.run(attempt)
@@ -483,31 +464,26 @@ class Customer:
         random_range_ms: Optional[tuple[float, float]] = None,
     ) -> None:
         """``runtime_attest_periodic``: fixed or random-interval mode."""
-        nonce = self._nonces.fresh()
-        request = {
-            msg.KEY_TYPE: "runtime_attest_periodic",
-            msg.KEY_VID: str(vid),
-            msg.KEY_PROPERTY: prop.value,
-            msg.KEY_NONCE: bytes(nonce),
-        }
+        nonce = bytes(self._nonces.fresh())
+        request = evidence.request(
+            evidence.Q1, "runtime_attest_periodic", (str(vid), prop.value, nonce)
+        )
         if frequency_ms is not None:
             request[msg.KEY_FREQ] = float(frequency_ms)
         if random_range_ms is not None:
             request["random_range_ms"] = [float(random_range_ms[0]),
                                           float(random_range_ms[1])]
         self.endpoint.call(self._controller, request)
-        self._subscriptions[(vid, prop.value)] = _SubscriptionState(nonce=bytes(nonce))
+        self._subscriptions[(vid, prop.value)] = _SubscriptionState(nonce=nonce)
 
     def stop_periodic_attestation(self, vid: VmId, prop: SecurityProperty) -> None:
         """``stop_attest_periodic``."""
         self.endpoint.call(
             self._controller,
-            {
-                msg.KEY_TYPE: "stop_attest_periodic",
-                msg.KEY_VID: str(vid),
-                msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: bytes(self._nonces.fresh()),
-            },
+            evidence.request(
+                evidence.Q1, "stop_attest_periodic",
+                (str(vid), prop.value, self._nonces.fresh()),
+            ),
         )
 
     def periodic_results(
@@ -572,8 +548,8 @@ class Customer:
                 msg.KEY_NONCE,
             )
         }
-        verify(self._controller_key, signed, bytes(body[msg.KEY_SIGNATURE]))
-        if bytes(body[msg.KEY_NONCE]) != state.nonce:
+        verify(self._controller_key, signed, evidence.field(body, msg.KEY_SIGNATURE))
+        if evidence.field(body, msg.KEY_NONCE) != state.nonce:
             raise ReplayError("periodic push bound to a different subscription nonce")
         seq = int(body["seq"])
         if seq <= state.last_seq:

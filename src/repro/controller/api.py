@@ -498,14 +498,9 @@ class CloudController:
     # ------------------------------------------------------------------
 
     def _handle_attest_current(self, peer: str, body: dict) -> dict:
-        msg.require_fields(body, msg.KEY_VID, msg.KEY_PROPERTY, msg.KEY_NONCE)
-        vid = VmId(body[msg.KEY_VID])
-        prop = SecurityProperty(body[msg.KEY_PROPERTY])
-        nonce = bytes(body[msg.KEY_NONCE])
-        self._seen_n1.check_and_store(nonce)
-        record = self.database.vm(vid)
-        if record.customer != peer:
-            raise ProtocolError(f"VM {vid} does not belong to {peer!r}")
+        accepted = evidence.accept(evidence.Q1, body, self._seen_n1)
+        vid = self._owned(peer, accepted[msg.KEY_VID])
+        prop = SecurityProperty(accepted[msg.KEY_PROPERTY])
         # adopt the customer's flight-recorder round; in-process the
         # ambient scope already carries it, but the wire key keeps the
         # correlation honest across separately-traced entities
@@ -533,12 +528,7 @@ class CloudController:
             self.cost.charge("report_sign")
             signed = evidence.sign_round(
                 evidence.Q1,
-                {
-                    msg.KEY_VID: str(vid),
-                    msg.KEY_PROPERTY: prop.value,
-                    msg.KEY_REPORT: outcome.report.to_dict(),
-                    msg.KEY_NONCE: nonce,
-                },
+                {**accepted, msg.KEY_REPORT: outcome.report.to_dict()},
                 self.endpoint.sign,
                 self.telemetry,
             )
@@ -558,29 +548,26 @@ class CloudController:
         Q1 leaves under one Merkle root and one SKc signature. Entries
         are stably sorted by (Vid, nonce) before any batch operation.
         """
-        msg.require_fields(body, msg.KEY_ENTRIES)
-        raw_entries = list(body[msg.KEY_ENTRIES])
-        if not raw_entries:
-            raise ProtocolError("fleet attestation has no entries")
-        parsed = []
-        for entry in raw_entries:
-            msg.require_fields(entry, msg.KEY_VID, msg.KEY_PROPERTY, msg.KEY_NONCE)
-            vid = VmId(entry[msg.KEY_VID])
-            prop = SecurityProperty(entry[msg.KEY_PROPERTY])
-            nonce = bytes(entry[msg.KEY_NONCE])
-            self._seen_n1.check_and_store(nonce)
-            record = self.database.vm(vid)
-            if record.customer != peer:
-                raise ProtocolError(f"VM {vid} does not belong to {peer!r}")
-            parsed.append((vid, prop, nonce, entry.get(KEY_ROUND)))
-        parsed.sort(key=lambda item: (str(item[0]), item[2]))
+        accepted = evidence.accept_batch(evidence.Q1, body, self._seen_n1)
+        parsed = sorted(
+            [
+                (
+                    self._owned(peer, entry[msg.KEY_VID]),
+                    SecurityProperty(entry[msg.KEY_PROPERTY]),
+                    entry,
+                    sent.get(KEY_ROUND),
+                )
+                for entry, sent in zip(accepted, body[msg.KEY_ENTRIES])
+            ],
+            key=lambda item: evidence.entry_order(item[2]),
+        )
 
         span_attrs: dict = {
             "vid": f"batch:{len(parsed)}",
             "property": "*",
             "mode": msg.MSG_ATTEST_FLEET,
         }
-        adopted = [rid for _vid, _prop, _nonce, rid in parsed if rid]
+        adopted = [rid for _vid, _prop, _entry, rid in parsed if rid]
         if adopted:
             # one shared controller leg serving every adopted round
             span_attrs["round_ids"] = adopted
@@ -592,13 +579,13 @@ class CloudController:
             futures = [
                 self.pipeline.submit(vid, prop, window_ms=body.get(msg.KEY_WINDOW),
                                      round_id=rid)
-                for vid, prop, _nonce, rid in parsed
+                for vid, prop, _entry, rid in parsed
             ]
             self.pipeline.flush()
             outcomes = [future.result() for future in futures]
 
             out_entries = []
-            for (vid, prop, nonce, _rid), outcome in zip(parsed, outcomes):
+            for (vid, prop, entry, _rid), outcome in zip(parsed, outcomes):
                 response_info = None
                 if (
                     not outcome.report.healthy
@@ -612,10 +599,8 @@ class CloudController:
                         "new_server": str(response_outcome.new_server or ""),
                     }
                 entry_out = {
-                    msg.KEY_VID: str(vid),
-                    msg.KEY_PROPERTY: prop.value,
+                    **entry,
                     msg.KEY_REPORT: outcome.report.to_dict(),
-                    msg.KEY_NONCE: nonce,
                     "attest_ms": outcome.attest_ms,
                 }
                 if response_info is not None:
@@ -628,26 +613,16 @@ class CloudController:
 
     def _handle_collect_raw(self, peer: str, body: dict) -> dict:
         """Pass-through mode: return validated raw measurements (§4.1)."""
-        msg.require_fields(body, msg.KEY_VID, msg.KEY_PROPERTY, msg.KEY_NONCE)
-        vid = VmId(body[msg.KEY_VID])
-        prop = SecurityProperty(body[msg.KEY_PROPERTY])
-        nonce = bytes(body[msg.KEY_NONCE])
-        self._seen_n1.check_and_store(nonce)
-        record = self.database.vm(vid)
-        if record.customer != peer:
-            raise ProtocolError(f"VM {vid} does not belong to {peer!r}")
+        accepted = evidence.accept(evidence.Q1_RAW, body, self._seen_n1)
+        vid = self._owned(peer, accepted[msg.KEY_VID])
+        prop = SecurityProperty(accepted[msg.KEY_PROPERTY])
         measurements = self.attest_service.collect_raw(
             vid, prop, window_ms=body.get(msg.KEY_WINDOW)
         )
         self.cost.charge("report_sign")
         return evidence.sign_round(
             evidence.Q1_RAW,
-            {
-                msg.KEY_VID: str(vid),
-                msg.KEY_PROPERTY: prop.value,
-                msg.KEY_MEASUREMENTS: measurements,
-                msg.KEY_NONCE: nonce,
-            },
+            {**accepted, msg.KEY_MEASUREMENTS: measurements},
             self.endpoint.sign,
             self.telemetry,
         )
@@ -657,14 +632,12 @@ class CloudController:
     # ------------------------------------------------------------------
 
     def _handle_attest_periodic(self, peer: str, body: dict) -> dict:
-        msg.require_fields(body, msg.KEY_VID, msg.KEY_PROPERTY, msg.KEY_NONCE)
-        vid = VmId(body[msg.KEY_VID])
-        prop = SecurityProperty(body[msg.KEY_PROPERTY])
-        nonce = bytes(body[msg.KEY_NONCE])
-        self._seen_n1.check_and_store(nonce)
-        record = self.database.vm(vid)
-        if record.customer != peer:
-            raise ProtocolError(f"VM {vid} does not belong to {peer!r}")
+        # the accepted fields come in ``Hop.request_fields`` order
+        named_vid, named_prop, nonce = evidence.accept(
+            evidence.Q1, body, self._seen_n1
+        ).values()
+        vid = self._owned(peer, named_vid)
+        prop = SecurityProperty(named_prop)
         random_range = body.get("random_range_ms")
         frequency = float(body.get(msg.KEY_FREQ, 0.0))
         if not random_range and frequency <= 0:
@@ -854,9 +827,7 @@ class CloudController:
         msg.require_fields(body, "policy")
         policy = MonitoringPolicy.from_dict(body["policy"])
         for vid in policy.entities:
-            record = self.database.vm(VmId(vid))
-            if record.customer != peer:
-                raise ProtocolError(f"VM {vid} does not belong to {peer!r}")
+            self._owned(peer, vid)
         applied = self.policy_scheduler.apply(policy, owner=peer)
         return {msg.KEY_STATUS: "policy_applied", **applied}
 
@@ -868,20 +839,19 @@ class CloudController:
     # lifecycle commands
     # ------------------------------------------------------------------
 
-    def _owned_vm(self, peer: str, body: dict) -> VmId:
-        msg.require_fields(body, msg.KEY_VID)
-        vid = VmId(body[msg.KEY_VID])
-        record = self.database.vm(vid)
-        if record.customer != peer:
+    def _owned(self, peer: str, vid: str) -> VmId:
+        """``vid``, once the VM is found to belong to ``peer``."""
+        vid = VmId(vid)
+        if self.database.vm(vid).customer != peer:
             raise ProtocolError(f"VM {vid} does not belong to {peer!r}")
         return vid
 
     def _handle_terminate(self, peer: str, body: dict) -> dict:
-        vid = self._owned_vm(peer, body)
+        vid = self._owned(peer, evidence.field(body, msg.KEY_VID))
         self.response.terminate(vid)
         return {msg.KEY_STATUS: "terminated", msg.KEY_VID: str(vid)}
 
     def _handle_resume(self, peer: str, body: dict) -> dict:
-        vid = self._owned_vm(peer, body)
+        vid = self._owned(peer, evidence.field(body, msg.KEY_VID))
         self.response.resume(vid)
         return {msg.KEY_STATUS: "active", msg.KEY_VID: str(vid)}

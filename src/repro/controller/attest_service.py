@@ -40,7 +40,7 @@ from repro.resilience import (
     RetryPolicy,
     is_transient,
 )
-from repro.telemetry import KEY_TRACE, NULL_TELEMETRY, SPAN_Q2, Telemetry
+from repro.telemetry import NULL_TELEMETRY, SPAN_Q2, Telemetry
 
 
 def _verification_failure_kind(exc: Exception) -> str:
@@ -177,20 +177,14 @@ class AttestService:
         def attempt() -> tuple[dict, dict]:
             # each retry is a fresh round with a fresh nonce N2, so the
             # AS replay cache accepts it
-            request = {
-                msg.KEY_TYPE: msg.MSG_ATTEST_REQUEST,
-                msg.KEY_VID: str(vid),
-                msg.KEY_SERVER: str(record.server),
-                msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: bytes(self._nonces.fresh()),
-            }
-            if window_ms is not None:
-                request[msg.KEY_WINDOW] = float(window_ms)
+            request = evidence.request(
+                evidence.Q2, msg.MSG_ATTEST_REQUEST,
+                (str(vid), str(record.server), prop.value, self._nonces.fresh()),
+                window_ms=window_ms,
+                trace=self.telemetry.context(),
+            )
             if accumulate:
                 request["accumulate"] = True
-            context = self.telemetry.context()
-            if context is not None:
-                request[KEY_TRACE] = context
             return request, self._endpoint.call(as_name, request)
 
         with self.telemetry.span(
@@ -218,7 +212,7 @@ class AttestService:
                     evidence.Q2, request, response, self._as_key(as_name),
                     telemetry=self.telemetry,
                 )
-                report = PropertyReport.from_dict(signed[msg.KEY_REPORT])
+                report = evidence.report(signed)
             except (ProtocolError, ReplayError, SignatureError) as exc:
                 self.telemetry.observe_event(
                     "verification_failure",
@@ -339,26 +333,23 @@ class AttestService:
     ) -> list[AttestationOutcome]:
         """One batched wire round against one Attestation Server."""
         chunk_started = self.cost.engine.now
-        entries = [
-            {
-                msg.KEY_VID: str(requests[index][0]),
-                msg.KEY_SERVER: str(records[index].server),
-                msg.KEY_PROPERTY: requests[index][1].value,
-                msg.KEY_NONCE: bytes(self._nonces.fresh()),
-            }
-            for index in chunk
-        ]
-        request = {
-            msg.KEY_TYPE: msg.MSG_ATTEST_BATCH_REQUEST,
-            msg.KEY_ENTRIES: entries,
-        }
-        if window_ms is not None:
-            request[msg.KEY_WINDOW] = float(window_ms)
+        request = evidence.request_batch(
+            evidence.Q2,
+            msg.MSG_ATTEST_BATCH_REQUEST,
+            [
+                (
+                    str(requests[index][0]),
+                    str(records[index].server),
+                    requests[index][1].value,
+                    self._nonces.fresh(),
+                )
+                for index in chunk
+            ],
+            window_ms=window_ms,
+            trace=self.telemetry.context(),
+        )
         if accumulate:
             request["accumulate"] = True
-        context = self.telemetry.context()
-        if context is not None:
-            request[KEY_TRACE] = context
         with self.telemetry.span(
             SPAN_Q2,
             vid=f"batch:{len(chunk)}",
@@ -368,10 +359,10 @@ class AttestService:
             response = self._endpoint.call(as_name, request)
 
         verified = evidence.verify_batch(
-            evidence.Q2, entries, response, self._as_key(as_name),
+            evidence.Q2, request[msg.KEY_ENTRIES], response, self._as_key(as_name),
             telemetry=self.telemetry,
         )
-        reports = [PropertyReport.from_dict(entry[msg.KEY_REPORT]) for entry in verified]
+        reports = [evidence.report(entry) for entry in verified]
 
         attest_ms = self.cost.engine.now - chunk_started
         outcomes: list[AttestationOutcome] = []
@@ -465,15 +456,11 @@ class AttestService:
         as_name = self._as_for(record)
 
         def attempt() -> tuple[dict, dict]:
-            request = {
-                msg.KEY_TYPE: "raw_measure_request",
-                msg.KEY_VID: str(vid),
-                msg.KEY_SERVER: str(record.server),
-                msg.KEY_PROPERTY: prop.value,
-                msg.KEY_NONCE: bytes(self._nonces.fresh()),
-            }
-            if window_ms is not None:
-                request[msg.KEY_WINDOW] = float(window_ms)
+            request = evidence.request(
+                evidence.Q2_RAW, "raw_measure_request",
+                (str(vid), str(record.server), prop.value, self._nonces.fresh()),
+                window_ms=window_ms,
+            )
             return request, self._endpoint.call(as_name, request)
 
         request, response = self._retry.run(attempt)

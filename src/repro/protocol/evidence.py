@@ -31,6 +31,16 @@ caller sent. Its checks, in order:
    at Q2, cloud server;
 7. a batch root equals the Merkle root over the recomputed leaves.
 
+The request side lives here too. A request entry is the hop's
+``named`` fields plus a fresh ``nonce`` (:attr:`Hop.request_fields`):
+N1 at Q1, N2 at Q2, N3 at Q3. Each form has one builder
+(:func:`request`, :func:`request_batch`) that writes the entry fields
+and the envelope (``window_ms``, trace context), and one acceptor
+(:func:`accept`, :func:`accept_batch`) that reads every field with its
+wire type, rejects an unknown property and stores each nonce in the
+producer's :class:`NonceCache`. A producer signs ``{**accepted,
+<report or measurements>}``, so the echoed fields are written once.
+
 Nothing here advances simulated time: signers and ``key`` callbacks
 belong to the caller, which charges its own costs.
 """
@@ -49,6 +59,8 @@ from repro.common.errors import (
 from repro.crypto.keys import RsaPublicKey
 from repro.crypto.nonces import NonceCache
 from repro.crypto.signatures import verify
+from repro.properties.catalog import SecurityProperty
+from repro.properties.report import PropertyReport
 from repro.protocol import messages as msg
 from repro.protocol.quotes import (
     attestation_quote,
@@ -56,7 +68,7 @@ from repro.protocol.quotes import (
     report_quote_q1,
     report_quote_q2,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import KEY_TRACE, Telemetry
 
 #: the wire type of every field the evidence module reads
 _FIELD_TYPES: dict[str, type] = {
@@ -92,6 +104,11 @@ class Hop:
     named: tuple[str, ...]
     #: raised when the quote does not recompute
     mismatch: type[CloudMonattError]
+
+    @property
+    def request_fields(self) -> tuple[str, ...]:
+        """The fields of one request entry: ``named`` plus the nonce."""
+        return (*self.named, msg.KEY_NONCE)
 
 
 Q3 = Hop(
@@ -133,6 +150,83 @@ def field(message: Any, key: str) -> Any:
             f"field {key!r} is {type(value).__name__}, expected {kind.__name__}"
         )
     return value
+
+
+_PROPERTIES = frozenset(prop.value for prop in SecurityProperty)
+
+
+def _entry(hop: Hop, values: tuple) -> dict:
+    *named, nonce = values
+    return {**dict(zip(hop.named, named, strict=True)), msg.KEY_NONCE: bytes(nonce)}
+
+
+def _envelope(body: dict, window_ms: Optional[float], trace: Optional[dict]) -> dict:
+    if window_ms is not None:
+        body[msg.KEY_WINDOW] = float(window_ms)
+    if trace is not None:
+        body[KEY_TRACE] = trace
+    return body
+
+
+def request(
+    hop: Hop,
+    kind: str,
+    values: tuple,
+    window_ms: Optional[float] = None,
+    trace: Optional[dict] = None,
+) -> dict:
+    """Single form: a ``kind`` request whose ``hop.request_fields`` take
+    ``values`` in that order, plus ``window_ms`` and the trace context
+    when given."""
+    return _envelope({msg.KEY_TYPE: kind, **_entry(hop, values)}, window_ms, trace)
+
+
+def request_batch(
+    hop: Hop,
+    kind: str,
+    values: list[tuple],
+    window_ms: Optional[float] = None,
+    trace: Optional[dict] = None,
+) -> dict:
+    """Batch form: one ``entries`` item per ``values`` tuple, with the
+    envelope of :func:`request`."""
+    entries = [_entry(hop, entry_values) for entry_values in values]
+    return _envelope(
+        {msg.KEY_TYPE: kind, msg.KEY_ENTRIES: entries}, window_ms, trace
+    )
+
+
+def accept(hop: Hop, body: Any, seen: Optional[NonceCache] = None) -> dict:
+    """Single form: the request's ``hop.request_fields``, each of its
+    wire type; an unknown property is a :class:`ProtocolError`. The
+    nonce is stored in ``seen`` when one is given."""
+    entry = {key: field(body, key) for key in hop.request_fields}
+    prop = entry.get(msg.KEY_PROPERTY)
+    if prop is not None and prop not in _PROPERTIES:
+        raise ProtocolError(f"unknown security property {prop!r}")
+    requested = entry.get(msg.KEY_REQUESTED, ())
+    if not all(isinstance(name, str) for name in requested):
+        raise ProtocolError(f"field {msg.KEY_REQUESTED!r} names a non-str measurement")
+    if seen is not None:
+        seen.check_and_store(entry[msg.KEY_NONCE])
+    return entry
+
+
+def accept_batch(
+    hop: Hop, body: Any, seen: Optional[NonceCache] = None
+) -> list[dict]:
+    """Batch form: :func:`accept` over a non-empty ``entries`` list, in
+    order, so the nonces reach ``seen`` in entry order."""
+    entries = field(body, msg.KEY_ENTRIES)
+    if not entries:
+        raise ProtocolError(f"{hop.name} batch request has no entries")
+    return [accept(hop, entry, seen) for entry in entries]
+
+
+def entry_order(entry: dict) -> tuple[str, bytes]:
+    """The (Vid, nonce) sort key Q1 and Q2 producers order accepted
+    entries by before any batch operation (a determinism requirement)."""
+    return entry[msg.KEY_VID], entry[msg.KEY_NONCE]
 
 
 def _quote(hop: Hop, values: dict, telemetry: Optional[Telemetry]) -> bytes:
@@ -275,3 +369,16 @@ def verify_batch(
     if merkle_root(leaves, telemetry=telemetry) != batch_root:
         raise SignatureError("batch root does not bind the per-entry quotes")
     return paired
+
+
+def report(signed: dict) -> PropertyReport:
+    """The report R of verified Q2 or Q1 evidence. It must parse and
+    concern the property the evidence names (:class:`ProtocolError`
+    otherwise)."""
+    parsed = PropertyReport.from_dict(signed[msg.KEY_REPORT])
+    if parsed.prop.value != signed[msg.KEY_PROPERTY]:
+        raise ProtocolError(
+            f"report on {parsed.prop.value!r} answers a "
+            f"{signed[msg.KEY_PROPERTY]!r} request"
+        )
+    return parsed

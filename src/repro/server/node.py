@@ -23,6 +23,7 @@ from repro.common.identifiers import ServerId, VmId
 from repro.common.rng import DeterministicRng
 from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.nonces import NonceCache
 from repro.guest.os_model import GuestOS
 from repro.lifecycle.flavors import Flavor, VmImage
 from repro.lifecycle.timing import CostModel
@@ -119,6 +120,9 @@ class CloudServer:
         self.reuse_attestation_session = False
         self._cached_session = None
         self._cached_session_cert = None
+        #: N3 values already answered: a replayed request is refused
+        #: rather than re-measured and re-signed
+        self._seen_n3 = NonceCache()
 
         self.endpoint = SecureEndpoint(
             str(server_id), network, drbg.fork("endpoint"), ca, key_bits=key_bits,
@@ -228,12 +232,9 @@ class CloudServer:
     def _measure(self, peer: str, body: dict) -> dict:
         if not self.secure or self.trust_module is None:
             raise StateError(f"server {self.server_id} has no Trust Module")
-        msg.require_fields(
-            body, msg.KEY_VID, msg.KEY_REQUESTED, msg.KEY_NONCE, msg.KEY_WINDOW
-        )
-        vid = VmId(body[msg.KEY_VID])
-        requested = tuple(str(m) for m in body[msg.KEY_REQUESTED])
-        nonce = bytes(body[msg.KEY_NONCE])
+        msg.require_fields(body, msg.KEY_WINDOW)
+        accepted = evidence.accept(evidence.Q3, body, self._seen_n3)
+        vid = VmId(accepted[msg.KEY_VID])
         window_ms = float(body[msg.KEY_WINDOW])
         if vid not in self.hosted:
             raise StateError(f"server {self.server_id} does not host {vid}")
@@ -264,7 +265,7 @@ class CloudServer:
         # ②④ drive the Monitor Module (opening a testing window if needed)
         request = MeasurementRequest(
             vid=vid,
-            measurements=requested,
+            measurements=tuple(accepted[msg.KEY_REQUESTED]),
             window_ms=window_ms,
             params=dict(body.get("params", {})),
         )
@@ -278,12 +279,7 @@ class CloudServer:
         self.cost.charge("tpm_quote_sign")
         signed = evidence.sign_round(
             evidence.Q3,
-            {
-                msg.KEY_VID: str(vid),
-                msg.KEY_REQUESTED: list(requested),
-                msg.KEY_MEASUREMENTS: measurements,
-                msg.KEY_NONCE: nonce,
-            },
+            {**accepted, msg.KEY_MEASUREMENTS: measurements},
             lambda payload: self.trust_module.sign_with_session(session, payload),
             self.telemetry,
         )
@@ -303,13 +299,10 @@ class CloudServer:
         """
         if not self.secure or self.trust_module is None:
             raise StateError(f"server {self.server_id} has no Trust Module")
-        msg.require_fields(body, msg.KEY_ENTRIES, msg.KEY_WINDOW)
+        msg.require_fields(body, msg.KEY_WINDOW)
         window_ms = float(body[msg.KEY_WINDOW])
-        entries = list(body[msg.KEY_ENTRIES])
-        if not entries:
-            raise ProtocolError("measure batch has no entries")
+        entries = evidence.accept_batch(evidence.Q3, body, self._seen_n3)
         for entry in entries:
-            msg.require_fields(entry, msg.KEY_VID, msg.KEY_REQUESTED, msg.KEY_NONCE)
             if VmId(entry[msg.KEY_VID]) not in self.hosted:
                 raise StateError(
                     f"server {self.server_id} does not host {entry[msg.KEY_VID]}"
@@ -343,7 +336,7 @@ class CloudServer:
         requests = [
             MeasurementRequest(
                 vid=VmId(entry[msg.KEY_VID]),
-                measurements=tuple(str(m) for m in entry[msg.KEY_REQUESTED]),
+                measurements=tuple(entry[msg.KEY_REQUESTED]),
                 window_ms=window_ms,
                 params=dict(body.get("params", {})),
             )
@@ -359,14 +352,7 @@ class CloudServer:
         out_entries = []
         for entry, request, measurements in zip(entries, requests, all_measurements):
             self.trust_module.store_evidence(f"attest:{request.vid}", measurements)
-            out_entries.append(
-                {
-                    msg.KEY_VID: str(request.vid),
-                    msg.KEY_REQUESTED: list(request.measurements),
-                    msg.KEY_MEASUREMENTS: measurements,
-                    msg.KEY_NONCE: bytes(entry[msg.KEY_NONCE]),
-                }
-            )
+            out_entries.append({**entry, msg.KEY_MEASUREMENTS: measurements})
         self.cost.charge("tpm_quote_sign")
         signed = evidence.sign_batch(
             evidence.Q3,

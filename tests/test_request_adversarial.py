@@ -197,10 +197,7 @@ class TestMissingField:
 
 
 class TestReplayedNonce:
-    @pytest.mark.parametrize(
-        "producer_name,form",
-        [(producer, form) for producer, form in FORMS if producer != "cloud-server"],
-    )
+    @pytest.mark.parametrize("producer_name,form", FORMS)
     def test_rejected(self, producers, nonces, producer_name, form):
         producer = producers[producer_name]
         body = producer.request(form, nonces)
@@ -214,4 +211,50 @@ class TestEmptyEntries:
         producer = producers[producer_name]
         body = producer.request("batch", nonces)
         body[msg.KEY_ENTRIES] = []
+        assert_rejected(ProtocolError, lambda: producer.send(body))
+
+
+#: case -> (field, value): a wrong-typed field, or an unknown property
+WRONG_TYPED = {
+    "int-nonce": (msg.KEY_NONCE, 0),
+    "str-nonce": (msg.KEY_NONCE, "nonce"),
+    "list-nonce": (msg.KEY_NONCE, [1, 2]),
+    "int-vid": (msg.KEY_VID, 7),
+    "int-property": (msg.KEY_PROPERTY, 7),
+    "int-server": (msg.KEY_SERVER, 7),
+    "str-requested": (msg.KEY_REQUESTED, "vmi.task_list"),
+    "int-in-requested": (msg.KEY_REQUESTED, [7]),
+    "unknown-property": (msg.KEY_PROPERTY, "no_such_property"),
+}
+
+
+class TestWrongTypedField:
+    @pytest.mark.parametrize(
+        "producer_name,form,case",
+        [
+            (producer, form, case)
+            for producer, form in FORMS
+            for case, (field, _value) in WRONG_TYPED.items()
+            if field in PRODUCERS[producer].fields
+        ],
+    )
+    def test_rejected(self, producers, nonces, producer_name, form, case):
+        producer = producers[producer_name]
+        field, value = WRONG_TYPED[case]
+        body = producer.request(form, nonces)
+        first_entry(body)[field] = value
+        assert_rejected(ProtocolError, lambda: producer.send(body))
+
+
+class TestMalformedEntries:
+    @pytest.mark.parametrize("producer_name", BATCHES)
+    @pytest.mark.parametrize(
+        "entries",
+        [{"vid": "vm-0001"}, "entries", ["not a dict"]],
+        ids=["dict", "str", "entry-not-dict"],
+    )
+    def test_rejected(self, producers, nonces, producer_name, entries):
+        producer = producers[producer_name]
+        body = producer.request("batch", nonces)
+        body[msg.KEY_ENTRIES] = entries
         assert_rejected(ProtocolError, lambda: producer.send(body))
