@@ -5,7 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.common.errors import ProtocolError
 from repro.properties.catalog import SecurityProperty
+
+#: the wire type of each field of :meth:`PropertyReport.to_dict`
+_FIELD_TYPES: dict[str, type] = {
+    "prop": str,
+    "healthy": bool,
+    "explanation": str,
+    "details": dict,
+}
 
 
 @dataclass(frozen=True)
@@ -36,11 +45,27 @@ class PropertyReport:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "PropertyReport":
-        """Inverse of :meth:`to_dict`."""
+    def from_dict(data: Any) -> "PropertyReport":
+        """Inverse of :meth:`to_dict`, fail-closed: a missing or
+        wrong-typed field, or an unknown property, is a
+        :class:`~repro.common.errors.ProtocolError`."""
+        if not isinstance(data, dict):
+            raise ProtocolError(f"report is {type(data).__name__}, expected dict")
+        for key, kind in _FIELD_TYPES.items():
+            if key not in data:
+                raise ProtocolError(f"report missing field {key!r}")
+            if not isinstance(data[key], kind):
+                raise ProtocolError(
+                    f"report field {key!r} is {type(data[key]).__name__}, "
+                    f"expected {kind.__name__}"
+                )
+        try:
+            prop = SecurityProperty(data["prop"])
+        except ValueError as exc:
+            raise ProtocolError(f"report on unknown property {data['prop']!r}") from exc
         return PropertyReport(
-            prop=SecurityProperty(data["prop"]),
-            healthy=bool(data["healthy"]),
-            explanation=str(data["explanation"]),
+            prop=prop,
+            healthy=data["healthy"],
+            explanation=data["explanation"],
             details=dict(data["details"]),
         )

@@ -617,3 +617,54 @@ class TestWrongTypedFields:
         hop = lying_server(stringify(msg.KEY_BATCH_ROOT))
         results = hop.customer.attest_fleet([(vid, PROP) for vid in hop.vids])
         assert [result.report.healthy for result in results] == [True] * 3
+
+
+def report_lie(edit):
+    """A producer that signs a report edited by ``edit``, with the quote
+    recomputed: only the report parse can catch it."""
+
+    def lie(hop, entry):
+        edit(entry[msg.KEY_REPORT])
+        hop.requote(entry)
+        return True
+
+    return lie
+
+
+def report_only_healthy(report):
+    report.clear()
+    report["healthy"] = True
+
+
+def report_str_healthy(report):
+    report["healthy"] = "false"
+
+
+def report_other_property(report):
+    report["prop"] = SecurityProperty.STARTUP_INTEGRITY.value
+
+
+REPORT_LIES = {
+    "only-healthy": report_only_healthy,
+    "str-healthy": report_str_healthy,
+    "other-property": report_other_property,
+}
+
+
+class TestMalformedReport:
+    """A signed report R that does not parse, or that concerns another
+    property than the one its evidence names, fails closed at Q2 and Q1
+    with a ``ProtocolError``, never a raw ``KeyError`` or a verdict
+    read from ``bool("false")``."""
+
+    @pytest.mark.parametrize("hop_name", ["Q2", "Q1"])
+    @pytest.mark.parametrize("lie_name", list(REPORT_LIES))
+    def test_single_rejected(self, lie, hop_name, lie_name):
+        hop = lie(hop_name, single_form(report_lie(REPORT_LIES[lie_name])))
+        assert_rejected(ProtocolError, hop.run_single)
+
+    @pytest.mark.parametrize("hop_name", ["Q2", "Q1"])
+    @pytest.mark.parametrize("lie_name", list(REPORT_LIES))
+    def test_batch_rejected(self, lie, hop_name, lie_name):
+        hop = lie(hop_name, batch_form(report_lie(REPORT_LIES[lie_name])))
+        assert_rejected(ProtocolError, hop.run_batch)
