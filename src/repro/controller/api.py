@@ -409,19 +409,8 @@ class CloudController:
                 {
                     msg.KEY_TYPE: msg.MSG_LAUNCH,
                     msg.KEY_VID: str(vid),
-                    "image": {
-                        "name": image.name,
-                        "size_mb": image.size_mb,
-                        "content": image.content,
-                        "tasks": list(image.standard_tasks),
-                        "modules": list(image.standard_modules),
-                    },
-                    "flavor": {
-                        "name": flavor.name,
-                        "vcpus": flavor.vcpus,
-                        "memory_mb": flavor.memory_mb,
-                        "disk_gb": flavor.disk_gb,
-                    },
+                    "image": image.to_wire(),
+                    "flavor": flavor.to_wire(),
                     "workload": workload,
                     "pins": pins,
                 },

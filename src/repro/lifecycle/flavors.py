@@ -8,7 +8,8 @@ attestation needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -19,6 +20,20 @@ class Flavor:
     vcpus: int
     memory_mb: int
     disk_gb: int
+
+    def to_wire(self) -> dict:
+        """The flavor as launch and migration messages carry it."""
+        return asdict(self)
+
+    @classmethod
+    def from_wire(cls, data: dict[str, Any]) -> "Flavor":
+        """Inverse of :meth:`to_wire`."""
+        return cls(
+            name=str(data["name"]),
+            vcpus=int(data["vcpus"]),
+            memory_mb=int(data["memory_mb"]),
+            disk_gb=int(data["disk_gb"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -37,6 +52,28 @@ class VmImage:
         "app-server",
     )
     standard_modules: tuple[str, ...] = ("ext4", "e1000", "iptables")
+
+    def to_wire(self) -> dict:
+        """The image as launch and migration messages carry it."""
+        return {
+            "name": self.name,
+            "size_mb": self.size_mb,
+            "content": self.content,
+            "tasks": list(self.standard_tasks),
+            "modules": list(self.standard_modules),
+        }
+
+    @classmethod
+    def from_wire(cls, data: dict[str, Any]) -> "VmImage":
+        """Inverse of :meth:`to_wire`; an image sent without ``tasks`` or
+        ``modules`` keeps the defaults above."""
+        return cls(
+            name=str(data["name"]),
+            size_mb=int(data["size_mb"]),
+            content=bytes(data["content"]),
+            standard_tasks=tuple(data.get("tasks", cls.standard_tasks)),
+            standard_modules=tuple(data.get("modules", cls.standard_modules)),
+        )
 
 
 def default_flavors() -> dict[str, Flavor]:

@@ -423,23 +423,8 @@ class CloudServer:
         vid = VmId(body[msg.KEY_VID])
         if vid in self.hosted:
             raise StateError(f"{vid} already hosted on {self.server_id}")
-        image_spec = body["image"]
-        flavor_spec = body["flavor"]
-        image = VmImage(
-            name=str(image_spec["name"]),
-            size_mb=int(image_spec["size_mb"]),
-            content=bytes(image_spec["content"]),
-            standard_tasks=tuple(image_spec.get("tasks", VmImage("", 0, b"").standard_tasks)),
-            standard_modules=tuple(
-                image_spec.get("modules", VmImage("", 0, b"").standard_modules)
-            ),
-        )
-        flavor = Flavor(
-            name=str(flavor_spec["name"]),
-            vcpus=int(flavor_spec["vcpus"]),
-            memory_mb=int(flavor_spec["memory_mb"]),
-            disk_gb=int(flavor_spec["disk_gb"]),
-        )
+        image = VmImage.from_wire(body["image"])
+        flavor = Flavor.from_wire(body["flavor"])
         if not self.can_fit(flavor):
             raise PlacementError(f"server {self.server_id} cannot fit {vid}")
         workload_spec = body["workload"]
@@ -519,19 +504,8 @@ class CloudServer:
             scale=hosted.flavor.memory_mb / 1024.0 * distance_factor,
         )
         snapshot = {
-            "image": {
-                "name": hosted.image.name,
-                "size_mb": hosted.image.size_mb,
-                "content": hosted.image.content,
-                "tasks": list(hosted.image.standard_tasks),
-                "modules": list(hosted.image.standard_modules),
-            },
-            "flavor": {
-                "name": hosted.flavor.name,
-                "vcpus": hosted.flavor.vcpus,
-                "memory_mb": hosted.flavor.memory_mb,
-                "disk_gb": hosted.flavor.disk_gb,
-            },
+            "image": hosted.image.to_wire(),
+            "flavor": hosted.flavor.to_wire(),
             "workload": {
                 "name": hosted.workload_name,
                 "params": hosted.workload_params,
@@ -551,21 +525,8 @@ class CloudServer:
         if vid in self.hosted:
             raise StateError(f"{vid} already hosted on {self.server_id}")
         snapshot = body["snapshot"]
-        image_spec = snapshot["image"]
-        flavor_spec = snapshot["flavor"]
-        image = VmImage(
-            name=str(image_spec["name"]),
-            size_mb=int(image_spec["size_mb"]),
-            content=bytes(image_spec["content"]),
-            standard_tasks=tuple(image_spec["tasks"]),
-            standard_modules=tuple(image_spec["modules"]),
-        )
-        flavor = Flavor(
-            name=str(flavor_spec["name"]),
-            vcpus=int(flavor_spec["vcpus"]),
-            memory_mb=int(flavor_spec["memory_mb"]),
-            disk_gb=int(flavor_spec["disk_gb"]),
-        )
+        image = VmImage.from_wire(snapshot["image"])
+        flavor = Flavor.from_wire(snapshot["flavor"])
         if not self.can_fit(flavor):
             raise PlacementError(f"server {self.server_id} cannot fit migrated {vid}")
         hosted = _HostedVm(

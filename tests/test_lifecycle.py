@@ -7,6 +7,8 @@ from repro.common.identifiers import CustomerId, ServerId, VmId
 from repro.common.rng import DeterministicRng
 from repro.lifecycle import (
     CostModel,
+    Flavor,
+    VmImage,
     VmRecord,
     VmState,
     default_flavors,
@@ -91,6 +93,16 @@ class TestFlavorsAndImages:
         image = default_images()["ubuntu"]
         assert "sshd" in image.standard_tasks
         assert "ext4" in image.standard_modules
+
+    def test_wire_form_round_trips(self):
+        for image in default_images().values():
+            assert VmImage.from_wire(image.to_wire()) == image
+        for flavor in default_flavors().values():
+            assert Flavor.from_wire(flavor.to_wire()) == flavor
+
+    def test_image_without_services_keeps_the_defaults(self):
+        image = VmImage.from_wire({"name": "bare", "size_mb": 1, "content": b"x"})
+        assert image == VmImage("bare", 1, b"x")
 
 
 class TestCostModel:
