@@ -27,6 +27,11 @@ from repro.sim.rounds import RoundFuture
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.observatory.flightrecorder import outcome_verdict
 
+#: how long submissions wait for company before the queue drains: 0
+#: drains at the end of the current instant (after all events already
+#: scheduled for it, so same-tick submissions coalesce)
+DRAIN_DELAY_MS = 0.0
+
 
 class AttestationPipeline:
     """Bounded queue of pending logical rounds, drained per engine tick."""
@@ -37,17 +42,12 @@ class AttestationPipeline:
         attest_service: AttestService,
         telemetry: Optional[Telemetry] = None,
         max_batch: int = 64,
-        drain_delay_ms: float = 0.0,
     ):
         self.engine = engine
         self.attest_service = attest_service
         self.telemetry = telemetry or NULL_TELEMETRY
         #: upper bound on rounds drained into one batched request
         self.max_batch = max_batch
-        #: how long submissions wait for company before the queue drains;
-        #: 0 drains at the end of the current instant (after all events
-        #: already scheduled for it, so same-tick submissions coalesce)
-        self.drain_delay_ms = drain_delay_ms
         self._queue: list[
             tuple[VmId, SecurityProperty, Optional[float], bool,
                   RoundFuture[AttestationOutcome], Optional[str], bool]
@@ -97,13 +97,13 @@ class AttestationPipeline:
         self.telemetry.gauge("pipeline.queue.depth").set(len(self._queue))
         if not self._drain_scheduled:
             self._drain_scheduled = True
-            self.engine.schedule(self.drain_delay_ms, self._drain)
+            self.engine.schedule(DRAIN_DELAY_MS, self._drain)
         return future
 
     def flush(self) -> None:
         """Advance simulated time until every submitted round resolved."""
         while self._queue or self._drain_scheduled:
-            self.engine.run_until(self.engine.now + max(self.drain_delay_ms, 0.0))
+            self.engine.run_until(self.engine.now + DRAIN_DELAY_MS)
 
     def _drain(self) -> None:
         self._drain_scheduled = False
@@ -114,7 +114,7 @@ class AttestationPipeline:
         if self._queue:
             # over-full queue: the remainder drains on the next tick
             self._drain_scheduled = True
-            self.engine.schedule(self.drain_delay_ms, self._drain)
+            self.engine.schedule(DRAIN_DELAY_MS, self._drain)
         self.telemetry.gauge("pipeline.queue.depth").set(len(self._queue))
         # rounds with different windows or accumulation modes cannot
         # share a batched request; group them, preserving queue order

@@ -60,6 +60,10 @@ from repro.properties.catalog import PropertyCatalog
 from repro.sim.engine import Engine
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
+#: simulated milliseconds between scheduler ticks; every check due
+#: within one tick drains as one batch
+TICK_MS = 250.0
+
 #: observatory event kinds this module publishes
 EVENT_POLICY_ALARM = "policy_alarm"
 EVENT_POLICY_COVERAGE = "policy_coverage"
@@ -127,12 +131,9 @@ class PolicyScheduler:
         responder=None,
         audit: Optional[Callable[..., None]] = None,
         eligible: Optional[Callable[[str], bool]] = None,
-        tick_ms: float = 250.0,
         rounds_per_tick: int = 32,
         shard: str = "",
     ):
-        if tick_ms <= 0:
-            raise PolicyError("tick_ms must be positive")
         if rounds_per_tick < 1:
             raise PolicyError("rounds_per_tick must be >= 1")
         self.engine = engine
@@ -152,7 +153,6 @@ class PolicyScheduler:
         #: policy status by this label, and :meth:`status` tags every
         #: entry with it so cross-shard snapshots stay attributable.
         self.shard = shard
-        self.tick_ms = tick_ms
         #: per-tick attestation budget; excess due checks are shed
         self.rounds_per_tick = rounds_per_tick
         #: content-addressed root for phase jitter: consumed from the
@@ -264,7 +264,7 @@ class PolicyScheduler:
     def _ensure_tick(self) -> None:
         if not self._tick_scheduled and self._entries:
             self._tick_scheduled = True
-            self.engine.schedule(self.tick_ms, self._tick)
+            self.engine.schedule(TICK_MS, self._tick)
 
     def _tick(self) -> None:
         self._tick_scheduled = False
