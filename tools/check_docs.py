@@ -20,7 +20,8 @@ Three modes, combinable (CI's docs job runs all of them):
 
 ``--docstrings``
     Walks the operator-facing packages (``src/repro/shard/``,
-    ``src/repro/policy/``, ``src/repro/protocol/``) and fails on any
+    ``src/repro/policy/``, ``src/repro/protocol/``) and modules
+    (``procpool.py``, ``lifecycle/flavors.py``) and fails on any
     *public* module, class, function or method without a docstring.
     Underscore-prefixed names and dunders other than ``__init__``'s
     enclosing class are skipped — the contract is that everything an
@@ -59,7 +60,8 @@ QUICK_EXAMPLES = ("quickstart.py", "fault_tolerance.py")
 #: Packages (directories) or single modules whose public API must be
 #: fully docstring-covered.
 DOCSTRING_PACKAGES = ("src/repro/shard", "src/repro/policy",
-                      "src/repro/protocol", "src/repro/common/procpool.py")
+                      "src/repro/protocol", "src/repro/common/procpool.py",
+                      "src/repro/lifecycle/flavors.py")
 
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 INLINE_CODE = re.compile(r"`([^`\n]+)`")
