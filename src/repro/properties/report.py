@@ -52,13 +52,8 @@ class PropertyReport:
         if not isinstance(data, dict):
             raise ProtocolError(f"report is {type(data).__name__}, expected dict")
         for key, kind in _FIELD_TYPES.items():
-            if key not in data:
-                raise ProtocolError(f"report missing field {key!r}")
-            if not isinstance(data[key], kind):
-                raise ProtocolError(
-                    f"report field {key!r} is {type(data[key]).__name__}, "
-                    f"expected {kind.__name__}"
-                )
+            if not isinstance(data.get(key), kind):
+                raise ProtocolError(f"report field {key!r} missing or not {kind.__name__}")
         try:
             prop = SecurityProperty(data["prop"])
         except ValueError as exc:
