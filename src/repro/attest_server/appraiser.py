@@ -26,7 +26,7 @@ from repro.network.secure_channel import SecureEndpoint
 from repro.protocol import evidence
 from repro.protocol import messages as msg
 from repro.resilience import RetryExecutor, RetryPolicy
-from repro.telemetry import NULL_TELEMETRY, SPAN_Q3, Telemetry
+from repro.telemetry import NULL_TELEMETRY, SPAN_Q3, Telemetry, span_names
 
 
 class OatAppraiser:
@@ -65,43 +65,53 @@ class OatAppraiser:
     def collect(
         self,
         server: ServerId,
-        vid: VmId,
+        vids: list[VmId],
         measurements: tuple[str, ...],
         window_ms: float,
-        params: dict | None = None,
-    ) -> dict[str, Any]:
-        """One full measurement round; returns validated measurements M.
+        retried: bool = False,
+    ) -> list[dict[str, Any]]:
+        """One measurement round for VMs on one server; returns each
+        VM's validated measurements M, in ``vids`` order.
 
-        Transport failures retry with a fresh nonce N3 per attempt
-        (each retry is a new measurement round); validation failures
-        are not retried — a response that fails its crypto checks is
-        evidence, not noise.
+        Every entry gets its own fresh N3 and its own Q3 leaf; one
+        certificate-chain check and one signature verification cover
+        the round, because the single session-key signature binds the
+        Merkle root over the per-entry leaves.
+
+        A ``retried`` round retries transport failures with fresh
+        nonces (each retry is a new measurement round). Otherwise a
+        transport failure surfaces to the caller, which re-runs each
+        logical round on its own. Validation failures are never retried
+        — a response that fails its crypto checks is evidence, not
+        noise.
         """
 
         def attempt() -> tuple[dict, dict]:
             request = evidence.request(
                 evidence.Q3, msg.MSG_MEASURE_REQUEST,
-                (str(vid), list(measurements), self._nonces.fresh()),
+                [(str(vid), list(measurements), self._nonces.fresh()) for vid in vids],
                 window_ms=window_ms,
                 trace=self.telemetry.context(),
             )
-            request["params"] = params or {}
             return request, self._endpoint.call(str(server), request)
 
         with self.telemetry.span(
-            SPAN_Q3, server=str(server), vid=str(vid)
+            SPAN_Q3, server=str(server), **span_names(vid=vids)
         ):
-            request, response = self._retry.run(attempt)
-        signed = evidence.verify_round(
+            request, response = self._retry.run(attempt) if retried else attempt()
+        verified = evidence.verify(
             evidence.Q3,
-            request,
+            request[msg.KEY_ENTRIES],
             response,
             self._session_key if self.check_signatures else None,
             seen=self._seen_nonces,
             check_nonces=self.check_nonces,
             telemetry=self.telemetry,
         )
-        return self._answered(measurements, signed[msg.KEY_MEASUREMENTS])
+        return [
+            self._answered(measurements, entry[msg.KEY_MEASUREMENTS])
+            for entry in verified
+        ]
 
     def _session_key(self, response: dict) -> RsaPublicKey:
         """The session key AVKs, once its certificate chains to the pCA
@@ -123,46 +133,3 @@ class OatAppraiser:
         if missing:
             raise ProtocolError(f"measurements missing from response: {missing}")
         return returned
-
-    def collect_batch(
-        self,
-        server: ServerId,
-        vids: list[VmId],
-        measurements: tuple[str, ...],
-        window_ms: float,
-        params: dict | None = None,
-    ) -> list[dict[str, Any]]:
-        """One coalesced measurement round for many VMs on one server.
-
-        Every entry still gets its own fresh N3 and its own Q3 leaf; one
-        certificate-chain check and one signature verification cover the
-        whole batch, because the single session-key signature binds the
-        Merkle root over the per-entry leaves. Deliberately *not*
-        retried here: a transport failure surfaces to the caller, which
-        falls back to per-round :meth:`collect` so retries target the
-        logical round rather than the shared batch.
-        """
-        request = evidence.request_batch(
-            evidence.Q3, msg.MSG_MEASURE_BATCH_REQUEST,
-            [(str(vid), list(measurements), self._nonces.fresh()) for vid in vids],
-            window_ms=window_ms,
-            trace=self.telemetry.context(),
-        )
-        request["params"] = params or {}
-        with self.telemetry.span(
-            SPAN_Q3, server=str(server), vid=f"batch:{len(vids)}"
-        ):
-            response = self._endpoint.call(str(server), request)
-        verified = evidence.verify_batch(
-            evidence.Q3,
-            request[msg.KEY_ENTRIES],
-            response,
-            self._session_key if self.check_signatures else None,
-            seen=self._seen_nonces,
-            check_nonces=self.check_nonces,
-            telemetry=self.telemetry,
-        )
-        return [
-            self._answered(measurements, entry[msg.KEY_MEASUREMENTS])
-            for entry in verified
-        ]

@@ -324,8 +324,8 @@ def _fastpath_summary(cloud: CloudMonatt) -> str:
     process-global (the memo is shared across endpoints) and read from
     :mod:`repro.crypto.fastpath`. The degraded-path counters make a
     struggling fleet run visible from here: a non-zero
-    ``pipeline.batch.fallbacks`` means a batched round fell back to the
-    serial path, and ``crypto.keypool.exhausted`` means a pre-warmed
+    ``pipeline.batch.fallbacks`` means a batched round fell back to
+    one round per VM, and ``crypto.keypool.exhausted`` means a pre-warmed
     pool ran dry and keygen landed on the critical path.
     """
     from repro.crypto import fastpath

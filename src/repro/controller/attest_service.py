@@ -40,7 +40,7 @@ from repro.resilience import (
     RetryPolicy,
     is_transient,
 )
-from repro.telemetry import NULL_TELEMETRY, SPAN_Q2, Telemetry
+from repro.telemetry import NULL_TELEMETRY, SPAN_Q2, Telemetry, span_names
 
 
 def _verification_failure_kind(exc: Exception) -> str:
@@ -144,54 +144,131 @@ class AttestService:
         """The Attestation Server responsible for the VM's cluster."""
         return self._db.server(record.server).attestation_server
 
-    def attest(
+    def attest_many(
         self,
-        vid: VmId,
-        prop: SecurityProperty,
+        requests: list[tuple[VmId, SecurityProperty]],
         window_ms: float | None = None,
         accumulate: bool = False,
-    ) -> AttestationOutcome:
-        """One brokered, validated attestation of property P for VM Vid.
+        kind: str = msg.MSG_ATTEST_BATCH_REQUEST,
+    ) -> list[AttestationOutcome]:
+        """Brokered, validated attestations of property P for each
+        (Vid, P) in ``requests``, in few wire rounds.
 
-        ``accumulate=True`` asks the Attestation Server to merge this
-        round with earlier ones (the periodic mode of §3.2.1).
+        Requests are stably sorted by (Vid, property), grouped by the
+        responsible Attestation Server and sent as one request per
+        Attestation Server (the pipeline bounds how many rounds one call
+        carries); results come back aligned with the *original* request
+        order. Each entry keeps its own fresh N2 and
+        its own Q2 leaf; one SKa signature per request binds the Merkle
+        root over the leaves. ``accumulate=True`` asks the Attestation
+        Server to merge each round with earlier ones (the periodic mode
+        of §3.2.1).
 
-        Transport failures are retried (fresh N2 each attempt); repeated
-        round failures open the per-AS circuit breaker, after which the
-        service returns a degraded ``UNREACHABLE`` outcome carrying the
-        scoreboard's last-known server health instead of raising.
+        ``kind`` is the Q2 request kind. ``attest_request`` carries
+        logical rounds the caller runs one at a time (on-demand, launch,
+        periodic): the Attestation Server certifies them, and transport
+        failures are retried with fresh nonces. The pipeline's
+        ``attest_batch_request`` is one attempt: a transient failure
+        records one breaker failure and re-runs each entry as an
+        ``attest_request`` of one, so retries target the logical round,
+        not the shared batch. Repeated failures open the per-AS circuit
+        breaker, after which each entry gets a degraded ``UNREACHABLE``
+        outcome carrying the scoreboard's last-known server health.
+        Validation failures raise — evidence that fails its crypto
+        checks is evidence, not noise.
+
+        An outcome's ``attest_ms`` is its request's span plus its own
+        database lookup.
         """
-        record = self._db.vm(vid)
-        if record.server is None:
-            raise ProtocolError(f"VM {vid} has no assigned server")
-        started = self.cost.engine.now
-        self.cost.charge("db_access")
-        as_name = self._as_for(record)
-        breaker = self._breaker(as_name)
-        if not breaker.allow():
-            return self._degraded_outcome(
-                vid, prop, record, as_name, breaker,
-                reason="circuit open", started=started,
-            )
-
-        def attempt() -> tuple[dict, dict]:
-            # each retry is a fresh round with a fresh nonce N2, so the
-            # AS replay cache accepts it
-            request = evidence.request(
-                evidence.Q2, msg.MSG_ATTEST_REQUEST,
-                (str(vid), str(record.server), prop.value, self._nonces.fresh()),
-                window_ms=window_ms,
-                trace=self.telemetry.context(),
-            )
-            if accumulate:
-                request["accumulate"] = True
-            return request, self._endpoint.call(as_name, request)
-
-        with self.telemetry.span(
-            SPAN_Q2, vid=str(vid), property=prop.value, attestation_server=as_name
-        ):
+        order = sorted(
+            range(len(requests)),
+            key=lambda i: (str(requests[i][0]), requests[i][1].value),
+        )
+        groups: dict[str, list[int]] = {}
+        records: dict[int, object] = {}
+        #: when each entry's database lookup began and ended
+        lookups: dict[int, tuple[float, float]] = {}
+        for index in order:
+            vid, _prop = requests[index]
+            record = self._db.vm(vid)
+            if record.server is None:
+                raise ProtocolError(f"VM {vid} has no assigned server")
+            began = self.cost.engine.now
+            self.cost.charge("db_access")
+            lookups[index] = (began, self.cost.engine.now)
+            records[index] = record
+            groups.setdefault(self._as_for(record), []).append(index)
+        outcomes: dict[int, AttestationOutcome] = {}
+        for as_name in sorted(groups):
+            chunk = groups[as_name]
             try:
-                request, response = self._retry.run(attempt)
+                outcomes.update(self._attest_chunk(
+                    kind, chunk, requests, records, lookups, as_name,
+                    window_ms, accumulate,
+                ))
+            except CloudMonattError as exc:
+                if kind == msg.MSG_ATTEST_REQUEST or not is_transient(exc):
+                    raise
+                self.telemetry.counter("pipeline.batch.fallbacks").inc(
+                    site="controller.attest"
+                )
+                for index in chunk:
+                    (outcomes[index],) = self.attest_many(
+                        [requests[index]], window_ms, accumulate,
+                        kind=msg.MSG_ATTEST_REQUEST,
+                    )
+        return [outcomes[index] for index in range(len(requests))]
+
+    def _attest_chunk(
+        self,
+        kind: str,
+        chunk: list[int],
+        requests: list[tuple[VmId, SecurityProperty]],
+        records: dict,
+        lookups: dict[int, tuple[float, float]],
+        as_name: str,
+        window_ms: float | None,
+        accumulate: bool,
+    ) -> dict[int, AttestationOutcome]:
+        """One request against one Attestation Server; outcomes by index."""
+        started = self.cost.engine.now
+        breaker = self._breaker(as_name)
+        logical = kind == msg.MSG_ATTEST_REQUEST
+
+        def attest_ms(index: int) -> float:
+            # this request's span plus the entry's own lookup, measured
+            # from the lookup so a lone round's is one subtraction
+            began, ended = lookups[index]
+            return self.cost.engine.now - began - (started - ended)
+
+        def degraded(reason: str) -> dict[int, AttestationOutcome]:
+            return {
+                index: self._degraded_outcome(
+                    *requests[index], records[index], as_name, breaker,
+                    reason=reason, attest_ms=attest_ms(index),
+                )
+                for index in chunk
+            }
+
+        if not breaker.allow():
+            return degraded("circuit open")
+        vids = [str(requests[index][0]) for index in chunk]
+        props = [requests[index][1].value for index in chunk]
+        named = [
+            (vid, str(records[index].server), prop)
+            for index, vid, prop in zip(chunk, vids, props)
+        ]
+        with self.telemetry.span(
+            SPAN_Q2, **span_names(vid=vids, property=props),
+            attestation_server=as_name,
+        ):
+            def attempt() -> tuple[dict, dict]:
+                return self._attempt(
+                    evidence.Q2, kind, as_name, named, window_ms, accumulate
+                )
+
+            try:
+                request, response = self._retry.run(attempt) if logical else attempt()
             except CloudMonattError as exc:
                 if not is_transient(exc):
                     raise
@@ -200,177 +277,31 @@ class AttestService:
                         "unreachable", endpoint=as_name, detail=str(exc)
                     )
                 breaker.record_failure()
-                if not breaker.allow():
-                    return self._degraded_outcome(
-                        vid, prop, record, as_name, breaker,
-                        reason=str(exc), started=started,
-                    )
+                if logical and not breaker.allow():
+                    return degraded(str(exc))
                 raise
             breaker.record_success()
             try:
-                signed = evidence.verify_round(
-                    evidence.Q2, request, response, self._as_key(as_name),
-                    telemetry=self.telemetry,
+                verified = evidence.verify(
+                    evidence.Q2, request[msg.KEY_ENTRIES], response,
+                    self._as_key(as_name), telemetry=self.telemetry,
                 )
-                report = evidence.report(signed)
+                reports = [evidence.report(entry) for entry in verified]
             except (ProtocolError, ReplayError, SignatureError) as exc:
                 self.telemetry.observe_event(
                     "verification_failure",
                     kind=_verification_failure_kind(exc),
-                    vid=str(vid),
-                    property=prop.value,
+                    **span_names(vid=vids, property=props),
                     detail=str(exc),
                 )
                 raise
-        attest_ms = self.cost.engine.now - started
-        if self.telemetry.enabled:
-            self.telemetry.histogram("controller.attest_ms").observe(
-                attest_ms, property=prop.value
-            )
-        self.telemetry.observe_event(
-            "attestation",
-            vid=str(vid),
-            server=str(record.server),
-            property=prop.value,
-            healthy=report.healthy,
-            attest_ms=attest_ms,
-            explanation=report.explanation,
-        )
-        return AttestationOutcome(
-            report=report,
-            attest_ms=attest_ms,
-            certificate=response.get("certificate"),
-        )
-
-    def attest_many(
-        self,
-        requests: list[tuple[VmId, SecurityProperty]],
-        window_ms: float | None = None,
-        accumulate: bool = False,
-        max_batch: int = 64,
-    ) -> list[AttestationOutcome]:
-        """Many brokered attestations in few wire rounds.
-
-        Requests are stably sorted by (Vid, property), grouped by the
-        responsible Attestation Server and sent as batched requests of
-        at most ``max_batch`` entries; results come back aligned with
-        the *original* request order. Each entry keeps its own fresh N2
-        and its own Q2 leaf; one SKa signature per batch binds the
-        Merkle root over the leaves.
-
-        Resilience targets the logical round, not the shared batch: a
-        transient batch failure records one breaker failure and then
-        replays every entry through serial :meth:`attest` (own retries,
-        own degraded outcome); an open circuit serves per-entry degraded
-        outcomes immediately. Validation failures raise — a batch that
-        fails its crypto checks is evidence, not noise.
-        """
-        if not requests:
-            return []
-        total = len(requests)
         outcomes: dict[int, AttestationOutcome] = {}
-        order = sorted(
-            range(total),
-            key=lambda i: (str(requests[i][0]), requests[i][1].value),
-        )
-        groups: dict[str, list[int]] = {}
-        records: dict[int, object] = {}
-        for index in order:
-            vid, _prop = requests[index]
-            record = self._db.vm(vid)
-            if record.server is None:
-                raise ProtocolError(f"VM {vid} has no assigned server")
-            self.cost.charge("db_access")
-            records[index] = record
-            groups.setdefault(self._as_for(record), []).append(index)
-        for as_name in sorted(groups):
-            indices = groups[as_name]
-            breaker = self._breaker(as_name)
-            for start in range(0, len(indices), max_batch):
-                chunk = indices[start:start + max_batch]
-                if not breaker.allow():
-                    for index in chunk:
-                        vid, prop = requests[index]
-                        outcomes[index] = self._degraded_outcome(
-                            vid, prop, records[index], as_name, breaker,
-                            reason="circuit open", started=self.cost.engine.now,
-                        )
-                    continue
-                try:
-                    chunk_outcomes = self._attest_chunk(
-                        chunk, requests, records, as_name, window_ms, accumulate
-                    )
-                except CloudMonattError as exc:
-                    if not is_transient(exc):
-                        raise
-                    if isinstance(exc, NetworkError):
-                        self.telemetry.observe_event(
-                            "unreachable", endpoint=as_name, detail=str(exc)
-                        )
-                    breaker.record_failure()
-                    self.telemetry.counter("pipeline.batch.fallbacks").inc(
-                        site="controller.attest"
-                    )
-                    for index in chunk:
-                        vid, prop = requests[index]
-                        outcomes[index] = self.attest(
-                            vid, prop, window_ms=window_ms, accumulate=accumulate
-                        )
-                    continue
-                breaker.record_success()
-                for index, outcome in zip(chunk, chunk_outcomes):
-                    outcomes[index] = outcome
-        return [outcomes[index] for index in range(total)]
-
-    def _attest_chunk(
-        self,
-        chunk: list[int],
-        requests: list[tuple[VmId, SecurityProperty]],
-        records: dict,
-        as_name: str,
-        window_ms: float | None,
-        accumulate: bool,
-    ) -> list[AttestationOutcome]:
-        """One batched wire round against one Attestation Server."""
-        chunk_started = self.cost.engine.now
-        request = evidence.request_batch(
-            evidence.Q2,
-            msg.MSG_ATTEST_BATCH_REQUEST,
-            [
-                (
-                    str(requests[index][0]),
-                    str(records[index].server),
-                    requests[index][1].value,
-                    self._nonces.fresh(),
-                )
-                for index in chunk
-            ],
-            window_ms=window_ms,
-            trace=self.telemetry.context(),
-        )
-        if accumulate:
-            request["accumulate"] = True
-        with self.telemetry.span(
-            SPAN_Q2,
-            vid=f"batch:{len(chunk)}",
-            property="*",
-            attestation_server=as_name,
-        ):
-            response = self._endpoint.call(as_name, request)
-
-        verified = evidence.verify_batch(
-            evidence.Q2, request[msg.KEY_ENTRIES], response, self._as_key(as_name),
-            telemetry=self.telemetry,
-        )
-        reports = [evidence.report(entry) for entry in verified]
-
-        attest_ms = self.cost.engine.now - chunk_started
-        outcomes: list[AttestationOutcome] = []
-        for index, report in zip(chunk, reports):
+        for index, entry, report in zip(chunk, verified, reports):
             vid, prop = requests[index]
+            elapsed = attest_ms(index)
             if self.telemetry.enabled:
                 self.telemetry.histogram("controller.attest_ms").observe(
-                    attest_ms, property=prop.value
+                    elapsed, property=prop.value
                 )
             self.telemetry.observe_event(
                 "attestation",
@@ -378,15 +309,36 @@ class AttestService:
                 server=str(records[index].server),
                 property=prop.value,
                 healthy=report.healthy,
-                attest_ms=attest_ms,
+                attest_ms=elapsed,
                 explanation=report.explanation,
             )
-            outcomes.append(
-                AttestationOutcome(
-                    report=report, attest_ms=attest_ms, certificate=None
-                )
+            outcomes[index] = AttestationOutcome(
+                report=report,
+                attest_ms=elapsed,
+                certificate=entry.get("certificate"),
             )
         return outcomes
+
+    def _attempt(
+        self,
+        hop: evidence.Hop,
+        kind: str,
+        as_name: str,
+        named: list[tuple],
+        window_ms: float | None,
+        accumulate: bool = False,
+    ) -> tuple[dict, dict]:
+        """One Q2 wire round: each entry of ``named`` plus a fresh nonce
+        N2, so a retry is a fresh round the AS replay cache accepts."""
+        request = evidence.request(
+            hop, kind,
+            [(*values, self._nonces.fresh()) for values in named],
+            window_ms=window_ms,
+            trace=self.telemetry.context(),
+        )
+        if accumulate:
+            request["accumulate"] = True
+        return request, self._endpoint.call(as_name, request)
 
     def _degraded_outcome(
         self,
@@ -396,7 +348,7 @@ class AttestService:
         as_name: str,
         breaker: CircuitBreaker,
         reason: str,
-        started: float,
+        attest_ms: float,
     ) -> AttestationOutcome:
         """Serve the degraded (UNREACHABLE) report for a dark AS.
 
@@ -440,7 +392,7 @@ class AttestService:
         )
         return AttestationOutcome(
             report=report,
-            attest_ms=self.cost.engine.now - started,
+            attest_ms=attest_ms,
             certificate=None,
             degraded=True,
         )
@@ -454,19 +406,13 @@ class AttestService:
             raise ProtocolError(f"VM {vid} has no assigned server")
         self.cost.charge("db_access")
         as_name = self._as_for(record)
-
-        def attempt() -> tuple[dict, dict]:
-            request = evidence.request(
-                evidence.Q2_RAW, "raw_measure_request",
-                (str(vid), str(record.server), prop.value, self._nonces.fresh()),
-                window_ms=window_ms,
-            )
-            return request, self._endpoint.call(as_name, request)
-
-        request, response = self._retry.run(attempt)
-        signed = evidence.verify_round(
-            evidence.Q2_RAW, request, response, self._as_key(as_name),
-            telemetry=self.telemetry,
+        named = [(str(vid), str(record.server), prop.value)]
+        request, response = self._retry.run(lambda: self._attempt(
+            evidence.Q2_RAW, "raw_measure_request", as_name, named, window_ms
+        ))
+        (signed,) = evidence.verify(
+            evidence.Q2_RAW, request[msg.KEY_ENTRIES], response,
+            self._as_key(as_name), telemetry=self.telemetry,
         )
         return signed[msg.KEY_MEASUREMENTS]
 

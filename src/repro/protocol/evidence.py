@@ -2,44 +2,46 @@
 
 Q3 (cloud server -> Attestation Server), Q2 (Attestation Server ->
 controller) and Q1 (controller -> customer) each bind a fresh nonce and
-a quote over the hop's fields under one signature. Every hop has two
-forms:
+a quote over the hop's fields under one signature. Every hop carries
+that evidence in one form, with n >= 1 entries:
 
-- **single round**: the hop's fields, ``nonce`` and ``quote``, plus one
-  ``signature`` over exactly those;
-- **batch** (the fleet pipeline): ``entries``, each carrying its own
-  fields, nonce and quote leaf, the ``batch_root`` (:func:`merkle_root`
-  over the leaves) and one ``signature`` over ``{entries, batch_root}``.
+- ``entries``, each carrying its own fields, nonce and quote leaf (the
+  paper's Q3 = H(Vid||rM||M||N3), Q2 and Q1 likewise);
+- the ``batch_root`` (:func:`merkle_root` over the leaves);
+- one ``signature`` over ``{entries, batch_root}``.
+
+A single Fig. 3 round is the n = 1 case: the signature covers a
+one-leaf root, and that leaf is the round's quote. The fleet pipeline
+sends the same form with many entries, so every check below applies at
+every n.
 
 A :class:`Hop` names what differs between the hops: the quote function,
 the quoted fields, the fields that must echo the request and the
-exception a quote mismatch raises. Each form has one signer and one
-verifier here; a verifier checks the response against the request the
-caller sent. Its checks, in order:
+exception a quote mismatch raises. There is one signer (:func:`sign`)
+and one verifier (:func:`verify`); the verifier checks the response
+against the request entries the caller sent. Its checks, in order:
 
 1. the required fields are present and of the right type (a wrong-typed
    field is a :class:`ProtocolError`, never a raw ``TypeError``);
-2. a batch has one entry per request;
-3. the signature verifies under the key ``key(response)`` returns
-   (single form: after the nonce echo of step 4);
-4. each nonce echo is fresh and matches exactly one request; batch
+2. there is one entry per request entry;
+3. the signature verifies under the key ``key(response)`` returns;
+4. each nonce echo is fresh and matches exactly one request entry;
    entries pair with requests by nonce, so the producer's entry order
-   is free (the batch signature and root bind whatever order it chose);
+   is free (the signature and root bind whatever order it chose);
 5. the quote recomputes over the *requested* names and the returned
    content (``hop.mismatch`` otherwise);
 6. the entry names the requested VM, property (or measurements) and,
    at Q2, cloud server;
-7. a batch root equals the Merkle root over the recomputed leaves.
+7. the root equals the Merkle root over the recomputed leaves.
 
 The request side lives here too. A request entry is the hop's
 ``named`` fields plus a fresh ``nonce`` (:attr:`Hop.request_fields`):
-N1 at Q1, N2 at Q2, N3 at Q3. Each form has one builder
-(:func:`request`, :func:`request_batch`) that writes the entry fields
-and the envelope (``window_ms``, trace context), and one acceptor
-(:func:`accept`, :func:`accept_batch`) that reads every field with its
-wire type, rejects an unknown property and stores each nonce in the
-producer's :class:`NonceCache`. A producer signs ``{**accepted,
-<report or measurements>}``, so the echoed fields are written once.
+N1 at Q1, N2 at Q2, N3 at Q3. :func:`request` writes the entries and
+the envelope (``window_ms``, trace context); :func:`accept` reads every
+field with its wire type, rejects an unknown property or a window that
+is not a finite non-negative float, and stores each nonce in the
+producer's :class:`NonceCache`. A producer signs ``{**entry, <report or
+measurements>}`` per entry, so the echoed fields are written once.
 
 Nothing here advances simulated time: signers and ``key`` callbacks
 belong to the caller, which charges its own costs.
@@ -47,6 +49,7 @@ belong to the caller, which charges its own costs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
@@ -58,7 +61,7 @@ from repro.common.errors import (
 )
 from repro.crypto.keys import RsaPublicKey
 from repro.crypto.nonces import NonceCache
-from repro.crypto.signatures import verify
+from repro.crypto.signatures import verify as verify_signature
 from repro.properties.catalog import SecurityProperty
 from repro.properties.report import PropertyReport
 from repro.protocol import messages as msg
@@ -72,6 +75,7 @@ from repro.telemetry import KEY_TRACE, Telemetry
 
 #: the wire type of every field the evidence module reads
 _FIELD_TYPES: dict[str, type] = {
+    msg.KEY_TYPE: str,
     msg.KEY_VID: str,
     msg.KEY_SERVER: str,
     msg.KEY_PROPERTY: str,
@@ -84,6 +88,8 @@ _FIELD_TYPES: dict[str, type] = {
     msg.KEY_SESSION_CERT: dict,
     msg.KEY_ENTRIES: list,
     msg.KEY_BATCH_ROOT: bytes,
+    msg.KEY_WINDOW: float,
+    msg.KEY_SEQ: int,
 }
 
 
@@ -160,7 +166,20 @@ def _entry(hop: Hop, values: tuple) -> dict:
     return {**dict(zip(hop.named, named, strict=True)), msg.KEY_NONCE: bytes(nonce)}
 
 
-def _envelope(body: dict, window_ms: Optional[float], trace: Optional[dict]) -> dict:
+def request(
+    hop: Hop,
+    kind: str,
+    values: list[tuple],
+    window_ms: Optional[float] = None,
+    trace: Optional[dict] = None,
+) -> dict:
+    """A ``kind`` request with one ``entries`` item per ``values`` tuple,
+    whose ``hop.request_fields`` take the tuple's values in that order,
+    plus ``window_ms`` and the trace context when given."""
+    body = {
+        msg.KEY_TYPE: kind,
+        msg.KEY_ENTRIES: [_entry(hop, entry_values) for entry_values in values],
+    }
     if window_ms is not None:
         body[msg.KEY_WINDOW] = float(window_ms)
     if trace is not None:
@@ -168,64 +187,44 @@ def _envelope(body: dict, window_ms: Optional[float], trace: Optional[dict]) -> 
     return body
 
 
-def request(
-    hop: Hop,
-    kind: str,
-    values: tuple,
-    window_ms: Optional[float] = None,
-    trace: Optional[dict] = None,
-) -> dict:
-    """Single form: a ``kind`` request whose ``hop.request_fields`` take
-    ``values`` in that order, plus ``window_ms`` and the trace context
-    when given."""
-    return _envelope({msg.KEY_TYPE: kind, **_entry(hop, values)}, window_ms, trace)
-
-
-def request_batch(
-    hop: Hop,
-    kind: str,
-    values: list[tuple],
-    window_ms: Optional[float] = None,
-    trace: Optional[dict] = None,
-) -> dict:
-    """Batch form: one ``entries`` item per ``values`` tuple, with the
-    envelope of :func:`request`."""
-    entries = [_entry(hop, entry_values) for entry_values in values]
-    return _envelope(
-        {msg.KEY_TYPE: kind, msg.KEY_ENTRIES: entries}, window_ms, trace
-    )
-
-
-def accept(hop: Hop, body: Any, seen: Optional[NonceCache] = None) -> dict:
-    """Single form: the request's ``hop.request_fields``, each of its
-    wire type; an unknown property is a :class:`ProtocolError`. The
-    nonce is stored in ``seen`` when one is given."""
-    entry = {key: field(body, key) for key in hop.request_fields}
-    prop = entry.get(msg.KEY_PROPERTY)
+def _accept_entry(hop: Hop, entry: Any, seen: Optional[NonceCache]) -> dict:
+    accepted = {key: field(entry, key) for key in hop.request_fields}
+    prop = accepted.get(msg.KEY_PROPERTY)
     if prop is not None and prop not in _PROPERTIES:
         raise ProtocolError(f"unknown security property {prop!r}")
-    requested = entry.get(msg.KEY_REQUESTED, ())
+    requested = accepted.get(msg.KEY_REQUESTED, ())
     if not all(isinstance(name, str) for name in requested):
         raise ProtocolError(f"field {msg.KEY_REQUESTED!r} names a non-str measurement")
     if seen is not None:
-        seen.check_and_store(entry[msg.KEY_NONCE])
-    return entry
+        seen.check_and_store(accepted[msg.KEY_NONCE])
+    return accepted
 
 
-def accept_batch(
+def accept(
     hop: Hop, body: Any, seen: Optional[NonceCache] = None
-) -> list[dict]:
-    """Batch form: :func:`accept` over a non-empty ``entries`` list, in
-    order, so the nonces reach ``seen`` in entry order."""
+) -> tuple[list[dict], Optional[float]]:
+    """The request's entries and its window: each entry of the non-empty
+    ``entries`` list as its ``hop.request_fields``, each of its wire
+    type, and ``window_ms`` (``None`` when the request names none).
+
+    An unknown property, or a window that is not a finite non-negative
+    float, is a :class:`ProtocolError`. Nonces reach ``seen``, when one
+    is given, in entry order.
+    """
     entries = field(body, msg.KEY_ENTRIES)
     if not entries:
-        raise ProtocolError(f"{hop.name} batch request has no entries")
-    return [accept(hop, entry, seen) for entry in entries]
+        raise ProtocolError(f"{hop.name} request has no entries")
+    window_ms = None
+    if msg.KEY_WINDOW in body:
+        window_ms = field(body, msg.KEY_WINDOW)
+        if not 0.0 <= window_ms < math.inf:
+            raise ProtocolError(f"window {window_ms!r} is not a non-negative length")
+    return [_accept_entry(hop, entry, seen) for entry in entries], window_ms
 
 
 def entry_order(entry: dict) -> tuple[str, bytes]:
-    """The (Vid, nonce) sort key Q1 and Q2 producers order accepted
-    entries by before any batch operation (a determinism requirement)."""
+    """The (Vid, nonce) sort key producers order accepted entries by
+    before any batch operation (a determinism requirement)."""
     return entry[msg.KEY_VID], entry[msg.KEY_NONCE]
 
 
@@ -236,26 +235,15 @@ def _quote(hop: Hop, values: dict, telemetry: Optional[Telemetry]) -> bytes:
     )
 
 
-def sign_round(
-    hop: Hop,
-    values: dict,
-    sign: Callable[[dict], bytes],
-    telemetry: Optional[Telemetry] = None,
-) -> dict:
-    """Single form: ``values`` (the hop's fields and ``nonce``) plus the
-    quote, and ``sign``'s signature over all of them."""
-    signed = {**values, msg.KEY_QUOTE: _quote(hop, values, telemetry)}
-    return {**signed, msg.KEY_SIGNATURE: sign(signed)}
-
-
-def sign_batch(
+def sign(
     hop: Hop,
     entries: list[dict],
-    sign: Callable[[dict], bytes],
+    signer: Callable[[dict], bytes],
     telemetry: Optional[Telemetry] = None,
 ) -> dict:
-    """Batch form: each entry gains its quote leaf; one signature binds
-    the entries and the Merkle root over the leaves.
+    """Each entry (the hop's fields and ``nonce``) gains its quote leaf;
+    ``signer``'s one signature binds the entries and the Merkle root
+    over the leaves.
 
     Entries may carry unquoted extras; the signature covers them too.
     """
@@ -267,7 +255,7 @@ def sign_batch(
         msg.KEY_ENTRIES: entries,
         msg.KEY_BATCH_ROOT: merkle_root(leaves, telemetry=telemetry),
     }
-    return {**body, msg.KEY_SIGNATURE: sign(body)}
+    return {**body, msg.KEY_SIGNATURE: signer(body)}
 
 
 def _signed(hop: Hop, entry: Any) -> dict:
@@ -291,40 +279,7 @@ def _bind(
     return quote
 
 
-def _stale(hop: Hop) -> ReplayError:
-    return ReplayError(f"{hop.producer} echoed a stale {hop.name} nonce")
-
-
-def verify_round(
-    hop: Hop,
-    request: dict,
-    response: Any,
-    key: KeyFor,
-    seen: Optional[NonceCache] = None,
-    check_nonces: bool = True,
-    telemetry: Optional[Telemetry] = None,
-) -> dict:
-    """Check single-form evidence against the ``request`` it answers;
-    return its signed fields.
-
-    ``seen`` additionally rejects a nonce echoed twice;
-    ``check_nonces=False`` skips the echo checks (the appraiser's
-    ablation switch).
-    """
-    signed = _signed(hop, response)
-    signature = field(response, msg.KEY_SIGNATURE)
-    if check_nonces:
-        if signed[msg.KEY_NONCE] != request[msg.KEY_NONCE]:
-            raise _stale(hop)
-        if seen is not None:
-            seen.check_and_store(signed[msg.KEY_NONCE])
-    if key is not None:
-        verify(key(response), signed, signature)
-    _bind(hop, signed, request, telemetry)
-    return signed
-
-
-def verify_batch(
+def verify(
     hop: Hop,
     requests: list[dict],
     response: Any,
@@ -333,21 +288,24 @@ def verify_batch(
     check_nonces: bool = True,
     telemetry: Optional[Telemetry] = None,
 ) -> list[dict]:
-    """Check batch-form evidence against the request ``entries`` it
-    answers; return its entries in request order.
+    """Check evidence against the request ``entries`` it answers; return
+    its entries in request order.
 
     Entries pair with requests by nonce; with ``check_nonces=False``
-    they pair by position.
+    (the appraiser's ablation switch) they pair by position and the
+    echo checks are skipped. ``seen`` additionally rejects a nonce
+    echoed twice.
     """
     entries = field(response, msg.KEY_ENTRIES)
     batch_root = field(response, msg.KEY_BATCH_ROOT)
     signature = field(response, msg.KEY_SIGNATURE)
+    signed_entries = [_signed(hop, entry) for entry in entries]
     if len(entries) != len(requests):
         raise ProtocolError(
-            f"{hop.name} batch has {len(entries)} entries, expected {len(requests)}"
+            f"{hop.name} evidence has {len(entries)} entries, expected {len(requests)}"
         )
     if key is not None:
-        verify(
+        verify_signature(
             key(response),
             {msg.KEY_ENTRIES: entries, msg.KEY_BATCH_ROOT: batch_root},
             signature,
@@ -355,13 +313,14 @@ def verify_batch(
     by_nonce = {request[msg.KEY_NONCE]: i for i, request in enumerate(requests)}
     paired: list[Optional[dict]] = [None] * len(requests)
     leaves = []
-    for position, entry in enumerate(entries):
-        signed = _signed(hop, entry)
+    for position, (entry, signed) in enumerate(zip(entries, signed_entries)):
         index = position
         if check_nonces:
             index = by_nonce.get(signed[msg.KEY_NONCE])
             if index is None or paired[index] is not None:
-                raise _stale(hop)
+                raise ReplayError(
+                    f"{hop.producer} echoed a stale {hop.name} nonce"
+                )
             if seen is not None:
                 seen.check_and_store(signed[msg.KEY_NONCE])
         leaves.append(_bind(hop, signed, requests[index], telemetry))

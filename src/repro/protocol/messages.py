@@ -25,20 +25,19 @@ KEY_REPORT = "report"
 KEY_HEALTHY = "healthy"
 KEY_STATUS = "status"
 KEY_FREQ = "frequency_ms"
-#: per-round sub-requests of a batched (fleet-pipeline) message
+#: sequence number of a periodic push
+KEY_SEQ = "seq"
+#: the per-round entries of every Fig. 3 request and response (n >= 1)
 KEY_ENTRIES = "entries"
-#: Merkle root over the per-entry quote leaves of a batched response
+#: Merkle root over the per-entry quote leaves of a response
 KEY_BATCH_ROOT = "batch_root"
 
 # message type tags
 MSG_ATTEST_REQUEST = "attest_request"
 MSG_MEASURE_REQUEST = "measure_request"
-#: fleet pipeline: many logical rounds in one wire crossing per hop.
-#: Each entry keeps its own fresh nonce and its own single-round quote
-#: (Q1/Q2/Q3 semantics unchanged); one signature binds the Merkle root
-#: over the sorted per-entry quote leaves.
+#: fleet pipeline rounds sharing one Q2 request: tried once, then
+#: each entry on its own as an ``attest_request``; not certified
 MSG_ATTEST_BATCH_REQUEST = "attest_batch_request"
-MSG_MEASURE_BATCH_REQUEST = "measure_batch_request"
 MSG_ATTEST_FLEET = "runtime_attest_batch"
 MSG_LAUNCH = "launch_vm"
 MSG_TERMINATE = "terminate_vm"

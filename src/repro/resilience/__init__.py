@@ -17,9 +17,9 @@ without giving up replayability:
 **Batched rounds.** The fleet pipeline shares wire crossings across
 many logical rounds, but fault tolerance always targets the *logical
 round*, never the shared batch: a transient failure of a batched
-request records one breaker failure and then replays each member round
-through the serial path — its own fresh nonces, its own retry budget,
-its own degraded outcome — while an open circuit serves per-round
+request records one breaker failure and then re-runs each member round
+through the same path as a logical round of one — its own fresh
+nonces, its own retry budget, its own degraded outcome — while an open circuit serves per-round
 degraded reports immediately. A batch is an optimization, not a fate-
 sharing domain (counted by the ``pipeline.batch.fallbacks`` telemetry).
 

@@ -49,7 +49,13 @@ from repro.network.secure_channel import SecureEndpoint
 from repro.protocol import evidence
 from repro.protocol import messages as msg
 from repro.sim.engine import Engine
-from repro.telemetry import KEY_TRACE, NULL_TELEMETRY, SPAN_MEASURE, Telemetry
+from repro.telemetry import (
+    KEY_TRACE,
+    NULL_TELEMETRY,
+    SPAN_MEASURE,
+    Telemetry,
+    span_names,
+)
 from repro.tpm.trust_module import TrustModule
 from repro.workloads import make_workload
 from repro.xen.hypervisor import Hypervisor
@@ -202,7 +208,6 @@ class CloudServer:
         msg.require_fields(body, msg.KEY_TYPE)
         handlers = {
             msg.MSG_MEASURE_REQUEST: self._handle_measure,
-            msg.MSG_MEASURE_BATCH_REQUEST: self._handle_measure_batch,
             "server_load_report": self._handle_load_report,
             msg.MSG_LAUNCH: self._handle_launch,
             msg.MSG_TERMINATE: self._handle_terminate,
@@ -221,146 +226,84 @@ class CloudServer:
     # ------------------------------------------------------------------
 
     def _handle_measure(self, peer: str, body: dict) -> dict:
-        with self.telemetry.span(
-            SPAN_MEASURE,
-            remote_parent=body.get(KEY_TRACE),
-            server=str(self.server_id),
-            vid=str(body.get(msg.KEY_VID, "")),
-        ):
-            return self._measure(peer, body)
-
-    def _measure(self, peer: str, body: dict) -> dict:
-        if not self.secure or self.trust_module is None:
-            raise StateError(f"server {self.server_id} has no Trust Module")
-        msg.require_fields(body, msg.KEY_WINDOW)
-        accepted = evidence.accept(evidence.Q3, body, self._seen_n3)
-        vid = VmId(accepted[msg.KEY_VID])
-        window_ms = float(body[msg.KEY_WINDOW])
-        if vid not in self.hosted:
-            raise StateError(f"server {self.server_id} does not host {vid}")
-
-        # ③ fresh attestation session key, endorsed by the identity key,
-        # certified (anonymously) by the privacy CA
-        if self.reuse_attestation_session and self._cached_session is not None:
-            session = self._cached_session
-            session_cert = self._cached_session_cert
-        else:
-            self.cost.charge("session_keygen")
-            session = self.trust_module.new_attestation_session()
-            cert_response = self.endpoint.call(
-                self._pca_endpoint,
-                {
-                    msg.KEY_TYPE: "certify_attestation_key",
-                    "server": str(self.server_id),
-                    "attestation_key": session.public.to_dict(),
-                    "endorsement": session.endorsement,
-                },
-            )
-            self.cost.charge("pca_certify")
-            session_cert = cert_response["certificate"]
-            if self.reuse_attestation_session:
-                self._cached_session = session
-                self._cached_session_cert = session_cert
-
-        # ②④ drive the Monitor Module (opening a testing window if needed)
-        request = MeasurementRequest(
-            vid=vid,
-            measurements=tuple(accepted[msg.KEY_REQUESTED]),
-            window_ms=window_ms,
-            params=dict(body.get("params", {})),
-        )
-        self.monitor_module.begin(request)
-        if window_ms > 0:
-            self.engine.run_until(self.engine.now + window_ms)
-        measurements = self.monitor_module.collect(request)
-
-        # ⑤ evidence into the Trust Module, ⑥ sign with the session key
-        self.trust_module.store_evidence(f"attest:{vid}", measurements)
-        self.cost.charge("tpm_quote_sign")
-        signed = evidence.sign_round(
-            evidence.Q3,
-            {**accepted, msg.KEY_MEASUREMENTS: measurements},
-            lambda payload: self.trust_module.sign_with_session(session, payload),
-            self.telemetry,
-        )
-        return {**signed, msg.KEY_SESSION_CERT: session_cert}
-
-    def _handle_measure_batch(self, peer: str, body: dict) -> dict:
-        """Coalesced Fig. 2 flow for many VMs on this server at once.
+        """The Fig. 2 flow for one or more VMs on this server.
 
         One attestation session (③) and one privacy-CA round serve the
-        whole batch; the Monitor Module opens every window together and
+        request; the Monitor Module opens every window together and
         shares VM-independent measurements across entries (②④⑤); each
-        entry keeps its own fresh nonce and its own Q3 leaf, and a single
-        session-key signature (⑥) binds the Merkle root over the sorted
-        leaves. Per-round Q3 semantics are unchanged — a verifier checks
-        its entry's leaf against the root before trusting the batch
-        signature.
+        entry keeps its own fresh nonce and its own Q3 leaf, and a
+        single session-key signature (⑥) binds the Merkle root over the
+        leaves. A verifier checks its entry's leaf against the root
+        before trusting the signature.
         """
         if not self.secure or self.trust_module is None:
             raise StateError(f"server {self.server_id} has no Trust Module")
-        msg.require_fields(body, msg.KEY_WINDOW)
-        window_ms = float(body[msg.KEY_WINDOW])
-        entries = evidence.accept_batch(evidence.Q3, body, self._seen_n3)
-        for entry in entries:
-            if VmId(entry[msg.KEY_VID]) not in self.hosted:
-                raise StateError(
-                    f"server {self.server_id} does not host {entry[msg.KEY_VID]}"
-                )
+        entries, window_ms = evidence.accept(evidence.Q3, body, self._seen_n3)
+        if window_ms is None:
+            raise ProtocolError(f"message missing required field {msg.KEY_WINDOW!r}")
+        vids = [VmId(entry[msg.KEY_VID]) for entry in entries]
+        for vid in vids:
+            if vid not in self.hosted:
+                raise StateError(f"server {self.server_id} does not host {vid}")
         with self.telemetry.span(
             SPAN_MEASURE,
             remote_parent=body.get(KEY_TRACE),
             server=str(self.server_id),
-            vid=f"batch:{len(entries)}",
+            **span_names(vid=vids),
         ):
-            return self._measure_batch(entries, window_ms, body)
+            # ③ fresh attestation session key, endorsed by the identity key,
+            # certified (anonymously) by the privacy CA
+            if self.reuse_attestation_session and self._cached_session is not None:
+                session = self._cached_session
+                session_cert = self._cached_session_cert
+            else:
+                self.cost.charge("session_keygen")
+                session = self.trust_module.new_attestation_session()
+                cert_response = self.endpoint.call(
+                    self._pca_endpoint,
+                    {
+                        msg.KEY_TYPE: "certify_attestation_key",
+                        "server": str(self.server_id),
+                        "attestation_key": session.public.to_dict(),
+                        "endorsement": session.endorsement,
+                    },
+                )
+                self.cost.charge("pca_certify")
+                session_cert = cert_response["certificate"]
+                if self.reuse_attestation_session:
+                    self._cached_session = session
+                    self._cached_session_cert = session_cert
 
-    def _measure_batch(self, entries: list[dict], window_ms: float, body: dict) -> dict:
-        # ③ one fresh attestation session certifies the whole batch
-        self.cost.charge("session_keygen")
-        session = self.trust_module.new_attestation_session()
-        cert_response = self.endpoint.call(
-            self._pca_endpoint,
-            {
-                msg.KEY_TYPE: "certify_attestation_key",
-                "server": str(self.server_id),
-                "attestation_key": session.public.to_dict(),
-                "endorsement": session.endorsement,
-            },
-        )
-        self.cost.charge("pca_certify")
-        session_cert = cert_response["certificate"]
+            # ②④ one measurement pass: every window opens together, one
+            # run_until covers them all, VM-independent values coalesce
+            requests = [
+                MeasurementRequest(
+                    vid=vid,
+                    measurements=tuple(entry[msg.KEY_REQUESTED]),
+                    window_ms=window_ms,
+                )
+                for vid, entry in zip(vids, entries)
+            ]
+            self.monitor_module.begin(requests)
+            if window_ms > 0:
+                self.engine.run_until(self.engine.now + window_ms)
+            all_measurements, coalesce_hits = self.monitor_module.collect(requests)
+            self.telemetry.counter("pipeline.coalesce.hits").inc(coalesce_hits)
 
-        # ②④ one shared measurement pass: every window opens together,
-        # one run_until covers them all, VM-independent values coalesce
-        requests = [
-            MeasurementRequest(
-                vid=VmId(entry[msg.KEY_VID]),
-                measurements=tuple(entry[msg.KEY_REQUESTED]),
-                window_ms=window_ms,
-                params=dict(body.get("params", {})),
+            # ⑤ evidence into the Trust Module, ⑥ one session-key signature
+            # over the root of the per-entry Q3 leaves
+            out_entries = []
+            for entry, vid, measurements in zip(entries, vids, all_measurements):
+                self.trust_module.store_evidence(f"attest:{vid}", measurements)
+                out_entries.append({**entry, msg.KEY_MEASUREMENTS: measurements})
+            self.cost.charge("tpm_quote_sign")
+            signed = evidence.sign(
+                evidence.Q3,
+                out_entries,
+                lambda payload: self.trust_module.sign_with_session(session, payload),
+                self.telemetry,
             )
-            for entry in entries
-        ]
-        self.monitor_module.begin_many(requests)
-        if window_ms > 0:
-            self.engine.run_until(self.engine.now + window_ms)
-        all_measurements, coalesce_hits = self.monitor_module.collect_many(requests)
-        self.telemetry.counter("pipeline.coalesce.hits").inc(coalesce_hits)
-
-        # ⑤ evidence + per-entry Q3 leaves, ⑥ one signature over the root
-        out_entries = []
-        for entry, request, measurements in zip(entries, requests, all_measurements):
-            self.trust_module.store_evidence(f"attest:{request.vid}", measurements)
-            out_entries.append({**entry, msg.KEY_MEASUREMENTS: measurements})
-        self.cost.charge("tpm_quote_sign")
-        signed = evidence.sign_batch(
-            evidence.Q3,
-            out_entries,
-            lambda payload: self.trust_module.sign_with_session(session, payload),
-            self.telemetry,
-        )
-        return {**signed, msg.KEY_SESSION_CERT: session_cert}
+            return {**signed, msg.KEY_SESSION_CERT: session_cert}
 
     def _handle_load_report(self, peer: str, body: dict) -> dict:
         """Operational telemetry: per-VM CPU usage over a short window.

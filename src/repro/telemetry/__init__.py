@@ -50,6 +50,7 @@ from repro.telemetry.tracer import (
     SPAN_RESPONSE_PREFIX,
     Span,
     Tracer,
+    span_names,
 )
 from repro.telemetry.exporters import (
     SUMMARY_HEADERS,
@@ -85,6 +86,7 @@ from repro.telemetry.observatory import (
 )
 
 __all__ = [
+    "span_names",
     "Telemetry",
     "NULL_TELEMETRY",
     "MetricsRegistry",

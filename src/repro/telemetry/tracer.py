@@ -74,6 +74,20 @@ PROTOCOL_LEG_SPANS = (
 )
 
 
+def span_names(**columns: list) -> dict:
+    """Span attributes naming what one protocol request covers.
+
+    Each keyword holds one value per request entry. A one-entry request
+    names its value, so a lone round's spans name its VM; a larger one
+    reads ``batch:<n>`` for ``vid`` and ``*`` for everything else.
+    """
+    return {
+        name: str(values[0]) if len(values) == 1
+        else f"batch:{len(values)}" if name == "vid" else "*"
+        for name, values in columns.items()
+    }
+
+
 @dataclass
 class Span:
     """One timed operation, possibly nested under a parent."""

@@ -5,6 +5,10 @@ and Monitor modules). These tests stand up a *dishonest* server endpoint
 that returns crafted measurement responses, and assert the appraiser
 rejects every class of lie: uncertified keys, bad signatures, unbound
 quotes, stale nonces, renamed VMs, and missing measurements.
+
+A response has the one evidence form, here with one entry: the entry's
+fields, nonce and quote, the Merkle root over the quote and one
+signature over ``{entries, batch_root}``.
 """
 
 import pytest
@@ -21,13 +25,48 @@ from repro.lifecycle.timing import CostModel
 from repro.network.network import Network
 from repro.network.secure_channel import SecureEndpoint
 from repro.protocol import messages as msg
-from repro.protocol.quotes import attestation_quote
+from repro.protocol.quotes import attestation_quote, merkle_root
 from repro.sim.engine import Engine
 
 KEY_BITS = 512
 VID = VmId("vm-0001")
 SERVER = ServerId("server-0001")
 MEASUREMENTS = ("vmi.task_list",)
+STALE = b"\x00" * 16
+
+
+def entry(response):
+    """The one entry of a response."""
+    return response[msg.KEY_ENTRIES][0]
+
+
+def requote(response):
+    """Recompute the entry's quote over whatever it now holds."""
+    fields = entry(response)
+    fields[msg.KEY_QUOTE] = attestation_quote(
+        fields[msg.KEY_VID], fields[msg.KEY_REQUESTED],
+        fields[msg.KEY_MEASUREMENTS], fields[msg.KEY_NONCE],
+    )
+    return response
+
+
+def rebuild_root(response):
+    """Recompute the root over the entry's quote (left unsigned)."""
+    response[msg.KEY_BATCH_ROOT] = merkle_root([entry(response)[msg.KEY_QUOTE]])
+    return response
+
+
+def resign(response, private_key):
+    """Rebuild the root and sign the response under ``private_key``."""
+    rebuild_root(response)
+    response[msg.KEY_SIGNATURE] = sign(
+        private_key,
+        {
+            msg.KEY_ENTRIES: response[msg.KEY_ENTRIES],
+            msg.KEY_BATCH_ROOT: response[msg.KEY_BATCH_ROOT],
+        },
+    )
+    return response
 
 
 class LyingServer:
@@ -43,24 +82,22 @@ class LyingServer:
         #: mutation applied to the honest response before sending
         self.mutate = lambda response: response
 
+    def resign(self, response):
+        """Re-sign under the honest session key."""
+        return resign(response, self.session_keys.private)
+
     def _handle(self, peer, body):
-        nonce = bytes(body[msg.KEY_NONCE])
-        measurements = {"vmi.task_list": [{"pid": 1, "name": "init"}]}
-        payload = {
-            msg.KEY_VID: str(VID),
-            msg.KEY_REQUESTED: list(MEASUREMENTS),
-            msg.KEY_MEASUREMENTS: measurements,
-            msg.KEY_NONCE: nonce,
-            msg.KEY_QUOTE: attestation_quote(
-                str(VID), list(MEASUREMENTS), measurements, nonce
-            ),
-        }
+        nonce = bytes(entry(body)[msg.KEY_NONCE])
         response = {
-            **payload,
-            msg.KEY_SIGNATURE: sign(self.session_keys.private, payload),
+            msg.KEY_ENTRIES: [{
+                msg.KEY_VID: str(VID),
+                msg.KEY_REQUESTED: list(MEASUREMENTS),
+                msg.KEY_MEASUREMENTS: {"vmi.task_list": [{"pid": 1, "name": "init"}]},
+                msg.KEY_NONCE: nonce,
+            }],
             msg.KEY_SESSION_CERT: certificate_to_dict(self.session_cert),
         }
-        return self.mutate(response)
+        return self.mutate(self.resign(requote(response)))
 
 
 @pytest.fixture()
@@ -78,7 +115,8 @@ def harness():
 
 
 def collect(appraiser):
-    return appraiser.collect(SERVER, VID, MEASUREMENTS, window_ms=0.0)
+    (measurements,) = appraiser.collect(SERVER, [VID], MEASUREMENTS, window_ms=0.0)
+    return measurements
 
 
 class TestHonestBaseline:
@@ -93,7 +131,7 @@ class TestLies:
         server, appraiser = harness
 
         def lie(response):
-            response[msg.KEY_MEASUREMENTS] = {
+            entry(response)[msg.KEY_MEASUREMENTS] = {
                 "vmi.task_list": [{"pid": 1, "name": "init"},
                                   {"pid": 2, "name": "looks-clean"}]
             }
@@ -119,17 +157,7 @@ class TestLies:
     def test_attacker_keypair_with_honest_cert_rejected(self, harness):
         server, appraiser = harness
         attacker_keys = generate_keypair(HmacDrbg(123), bits=KEY_BITS)
-
-        def lie(response):
-            payload = {
-                key: response[key]
-                for key in (msg.KEY_VID, msg.KEY_REQUESTED,
-                            msg.KEY_MEASUREMENTS, msg.KEY_NONCE, msg.KEY_QUOTE)
-            }
-            response[msg.KEY_SIGNATURE] = sign(attacker_keys.private, payload)
-            return response
-
-        server.mutate = lie
+        server.mutate = lambda response: resign(response, attacker_keys.private)
         with pytest.raises(SignatureError):
             collect(appraiser)
 
@@ -137,25 +165,10 @@ class TestLies:
         server, appraiser = harness
 
         def lie(response):
-            stale = b"\x00" * 16
-            response[msg.KEY_NONCE] = stale
             # even with a recomputed quote and signature over the stale
             # nonce, the appraiser must notice the nonce mismatch
-            payload = {
-                msg.KEY_VID: response[msg.KEY_VID],
-                msg.KEY_REQUESTED: response[msg.KEY_REQUESTED],
-                msg.KEY_MEASUREMENTS: response[msg.KEY_MEASUREMENTS],
-                msg.KEY_NONCE: stale,
-                msg.KEY_QUOTE: attestation_quote(
-                    str(VID), list(MEASUREMENTS),
-                    response[msg.KEY_MEASUREMENTS], stale,
-                ),
-            }
-            response[msg.KEY_QUOTE] = payload[msg.KEY_QUOTE]
-            response[msg.KEY_SIGNATURE] = sign(
-                server.session_keys.private, payload
-            )
-            return response
+            entry(response)[msg.KEY_NONCE] = STALE
+            return server.resign(requote(response))
 
         server.mutate = lie
         with pytest.raises(ReplayError):
@@ -165,18 +178,8 @@ class TestLies:
         server, appraiser = harness
 
         def lie(response):
-            fake_quote = b"\xff" * 32
-            payload = {
-                key: response[key]
-                for key in (msg.KEY_VID, msg.KEY_REQUESTED,
-                            msg.KEY_MEASUREMENTS, msg.KEY_NONCE)
-            }
-            payload[msg.KEY_QUOTE] = fake_quote
-            response[msg.KEY_QUOTE] = fake_quote
-            response[msg.KEY_SIGNATURE] = sign(
-                server.session_keys.private, payload
-            )
-            return response
+            entry(response)[msg.KEY_QUOTE] = b"\xff" * 32
+            return server.resign(response)
 
         server.mutate = lie
         with pytest.raises(SignatureError):
@@ -186,23 +189,8 @@ class TestLies:
         server, appraiser = harness
 
         def lie(response):
-            other = "vm-0099"
-            measurements = response[msg.KEY_MEASUREMENTS]
-            nonce = response[msg.KEY_NONCE]
-            payload = {
-                msg.KEY_VID: other,
-                msg.KEY_REQUESTED: response[msg.KEY_REQUESTED],
-                msg.KEY_MEASUREMENTS: measurements,
-                msg.KEY_NONCE: nonce,
-                msg.KEY_QUOTE: attestation_quote(
-                    other, list(MEASUREMENTS), measurements, nonce
-                ),
-            }
-            return {
-                **payload,
-                msg.KEY_SIGNATURE: sign(server.session_keys.private, payload),
-                msg.KEY_SESSION_CERT: response[msg.KEY_SESSION_CERT],
-            }
+            entry(response)[msg.KEY_VID] = "vm-0099"
+            return server.resign(requote(response))
 
         server.mutate = lie
         with pytest.raises((ProtocolError, SignatureError)):
@@ -212,22 +200,8 @@ class TestLies:
         server, appraiser = harness
 
         def lie(response):
-            measurements = {}
-            nonce = response[msg.KEY_NONCE]
-            payload = {
-                msg.KEY_VID: str(VID),
-                msg.KEY_REQUESTED: list(MEASUREMENTS),
-                msg.KEY_MEASUREMENTS: measurements,
-                msg.KEY_NONCE: nonce,
-                msg.KEY_QUOTE: attestation_quote(
-                    str(VID), list(MEASUREMENTS), measurements, nonce
-                ),
-            }
-            return {
-                **payload,
-                msg.KEY_SIGNATURE: sign(server.session_keys.private, payload),
-                msg.KEY_SESSION_CERT: response[msg.KEY_SESSION_CERT],
-            }
+            entry(response)[msg.KEY_MEASUREMENTS] = {}
+            return server.resign(requote(response))
 
         server.mutate = lie
         with pytest.raises(ProtocolError):
@@ -237,7 +211,7 @@ class TestLies:
         server, appraiser = harness
 
         def lie(response):
-            del response[msg.KEY_QUOTE]
+            del entry(response)[msg.KEY_QUOTE]
             return response
 
         server.mutate = lie
@@ -248,20 +222,17 @@ class TestLies:
 class TestAblationSwitches:
     def test_disabled_signature_check_accepts_forgery(self, harness):
         """The ablation switch shows what the checks are worth: with
-        signature checking off, a tampered response passes (quote must
-        still be recomputed to match)."""
+        signature checking off, a tampered response passes (quote and
+        root must still be recomputed to match)."""
         server, appraiser = harness
         appraiser.check_signatures = False
 
         def lie(response):
-            forged = {"vmi.task_list": [{"pid": 1, "name": "all-clean"}]}
-            nonce = response[msg.KEY_NONCE]
-            response[msg.KEY_MEASUREMENTS] = forged
-            response[msg.KEY_QUOTE] = attestation_quote(
-                str(VID), list(MEASUREMENTS), forged, nonce
-            )
+            entry(response)[msg.KEY_MEASUREMENTS] = {
+                "vmi.task_list": [{"pid": 1, "name": "all-clean"}]
+            }
             # signature left stale: nobody checks it now
-            return response
+            return rebuild_root(requote(response))
 
         server.mutate = lie
         measurements = collect(appraiser)
@@ -273,13 +244,8 @@ class TestAblationSwitches:
         appraiser.check_signatures = False
 
         def lie(response):
-            stale = b"\x00" * 16
-            measurements = response[msg.KEY_MEASUREMENTS]
-            response[msg.KEY_NONCE] = stale
-            response[msg.KEY_QUOTE] = attestation_quote(
-                str(VID), list(MEASUREMENTS), measurements, stale
-            )
-            return response
+            entry(response)[msg.KEY_NONCE] = STALE
+            return rebuild_root(requote(response))
 
         server.mutate = lie
         assert collect(appraiser) is not None

@@ -1,12 +1,13 @@
 """Adversarial matrix for the signed evidence of all three Fig. 3 hops.
 
-Every hop of the protocol carries the same evidence shape: signed
-fields, a fresh nonce, a quote over both and one signature — or, in
-the fleet pipeline's batched form, per-entry quote leaves, a Merkle
-root and one signature over ``{entries, batch_root}``. This matrix
-stands up an honest deployment, lets the producer of one hop lie
-(cloud server at Q3, Attestation Server at Q2, controller at Q1) and
-asserts the exception class its verifier raises, for hop x form x lie.
+Every hop of the protocol carries the same evidence form: per-entry
+signed fields, fresh nonce and quote leaf, a Merkle root over the
+leaves and one signature over ``{entries, batch_root}``. A lone Fig. 3
+round is the one-entry case. This matrix stands up an honest
+deployment, lets the producer of one hop lie (cloud server at Q3,
+Attestation Server at Q2, controller at Q1) and asserts the exception
+class its verifier raises, for hop x entry count x lie. The "single"
+tests run with n = 1 entry, the "batch" tests with n = 3.
 
 The class is part of the contract: ``is_transient`` retries
 ``SignatureError`` and ``ReplayError`` but not ``ProtocolError``, and
@@ -45,8 +46,8 @@ class Hop:
     fields: tuple[str, ...] = ()
     #: the field a tampering producer rewrites
     content: str = ""
-    single_type = ""
-    batch_type = ""
+    #: the request kinds whose replies a lying producer edits
+    kinds: tuple[str, ...] = ()
 
     def __init__(self, cloud, customer, vids):
         self.cloud = cloud
@@ -59,9 +60,7 @@ class Hop:
 
         def handler(peer, body):
             reply = honest(peer, body)
-            if self.mutate is not None and body.get(msg.KEY_TYPE) in (
-                self.single_type, self.batch_type
-            ):
+            if self.mutate is not None and body.get(msg.KEY_TYPE) in self.kinds:
                 return self.mutate(self, copy.deepcopy(reply))
             return reply
 
@@ -78,11 +77,15 @@ class Hop:
     def sign(self, payload):
         raise NotImplementedError
 
-    def run_single(self):
+    def run(self, n):
+        """One round over the first ``n`` VMs, through the real verifier."""
         raise NotImplementedError
 
+    def run_single(self):
+        return self.run(1)
+
     def run_batch(self):
-        raise NotImplementedError
+        return self.run(3)
 
     def rename_property(self, entry):
         raise NotImplementedError
@@ -91,13 +94,6 @@ class Hop:
 
     def signed_fields(self):
         return self.fields + (msg.KEY_NONCE, msg.KEY_QUOTE)
-
-    def resign_single(self, reply):
-        payload = {
-            key: reply[key] for key in self.signed_fields() if key in reply
-        }
-        reply[msg.KEY_SIGNATURE] = self.sign(payload)
-        return reply
 
     def resign_batch(self, reply, rebuild_root=True):
         if rebuild_root:
@@ -122,8 +118,7 @@ class Q3Hop(Hop):
 
     fields = (msg.KEY_VID, msg.KEY_REQUESTED, msg.KEY_MEASUREMENTS)
     content = msg.KEY_MEASUREMENTS
-    single_type = msg.MSG_MEASURE_REQUEST
-    batch_type = msg.MSG_MEASURE_BATCH_REQUEST
+    kinds = (msg.MSG_MEASURE_REQUEST,)
 
     def __init__(self, cloud, customer, vids):
         self.server = next(iter(cloud.servers.values()))
@@ -138,14 +133,8 @@ class Q3Hop(Hop):
         trust_module.sign_with_session = sign_with_session
         self._sign = honest_sign
         super().__init__(cloud, customer, vids)
-        appraiser = cloud.attestation_server.appraiser
+        self.appraiser = cloud.attestation_server.appraiser
         self.measurements = cloud.attestation_server.catalog.spec(PROP).measurements
-        self.collect = lambda: appraiser.collect(
-            self.server.server_id, vids[0], self.measurements, 0.0
-        )
-        self.collect_batch = lambda: appraiser.collect_batch(
-            self.server.server_id, list(vids), self.measurements, 0.0
-        )
 
     def producer_endpoint(self):
         return self.server.endpoint
@@ -159,11 +148,10 @@ class Q3Hop(Hop):
     def sign(self, payload):
         return self._sign(self.session, payload)
 
-    def run_single(self):
-        return self.collect()
-
-    def run_batch(self):
-        return self.collect_batch()
+    def run(self, n):
+        return self.appraiser.collect(
+            self.server.server_id, self.vids[:n], self.measurements, 0.0
+        )
 
     def rename_property(self, entry):
         entry[msg.KEY_REQUESTED] = ["vmi.other"]
@@ -174,8 +162,7 @@ class Q2Hop(Hop):
 
     fields = (msg.KEY_VID, msg.KEY_SERVER, msg.KEY_PROPERTY, msg.KEY_REPORT)
     content = msg.KEY_REPORT
-    single_type = msg.MSG_ATTEST_REQUEST
-    batch_type = msg.MSG_ATTEST_BATCH_REQUEST
+    kinds = (msg.MSG_ATTEST_REQUEST, msg.MSG_ATTEST_BATCH_REQUEST)
 
     def producer_endpoint(self):
         return self.cloud.attestation_server.endpoint
@@ -189,12 +176,12 @@ class Q2Hop(Hop):
     def sign(self, payload):
         return self.cloud.attestation_server.endpoint.sign(payload)
 
-    def run_single(self):
-        return self.cloud.controller.attest_service.attest(self.vids[0], PROP)
-
-    def run_batch(self):
+    def run(self, n):
+        # a lone round goes out as the on-demand kind, as the controller
+        # sends it; more go out as the pipeline's batch kind
+        kind = msg.MSG_ATTEST_REQUEST if n == 1 else msg.MSG_ATTEST_BATCH_REQUEST
         return self.cloud.controller.attest_service.attest_many(
-            [(vid, PROP) for vid in self.vids]
+            [(vid, PROP) for vid in self.vids[:n]], kind=kind
         )
 
     def rename_property(self, entry):
@@ -206,8 +193,7 @@ class Q1Hop(Hop):
 
     fields = (msg.KEY_VID, msg.KEY_PROPERTY, msg.KEY_REPORT)
     content = msg.KEY_REPORT
-    single_type = "runtime_attest_current"
-    batch_type = msg.MSG_ATTEST_FLEET
+    kinds = ("runtime_attest_current", msg.MSG_ATTEST_FLEET)
 
     def producer_endpoint(self):
         return self.cloud.controller.endpoint
@@ -221,11 +207,10 @@ class Q1Hop(Hop):
     def sign(self, payload):
         return self.cloud.controller.endpoint.sign(payload)
 
-    def run_single(self):
-        return self.customer.attest(self.vids[0], PROP)
-
-    def run_batch(self):
-        return self.customer.attest_fleet([(vid, PROP) for vid in self.vids])
+    def run(self, n):
+        if n == 1:
+            return self.customer.attest(self.vids[0], PROP)
+        return self.customer.attest_fleet([(vid, PROP) for vid in self.vids[:n]])
 
     def rename_property(self, entry):
         entry[msg.KEY_PROPERTY] = SecurityProperty.STARTUP_INTEGRITY.value
@@ -272,8 +257,8 @@ def lie(hops, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# lies on one entry: each edits ``entry`` (the single reply itself, or
-# the first entry of a batch) and says whether the producer re-signs
+# lies on one entry: each edits ``entry`` (the first entry of the
+# reply) and says whether the producer re-signs
 # ----------------------------------------------------------------------
 
 
@@ -341,7 +326,7 @@ ENTRY_LIES = {
     "missing-quote": missing_quote,
 }
 
-#: hop -> lie -> exception class, identical for both forms
+#: hop -> lie -> exception class, identical at every entry count
 ENTRY_EXPECTED = {
     "Q3": {
         "tampered": SignatureError,
@@ -375,16 +360,9 @@ MATRIX = [
 ]
 
 
-def single_form(entry_lie):
-    def mutate(hop, reply):
-        if entry_lie(hop, reply):
-            hop.resign_single(reply)
-        return reply
+def first_entry(entry_lie):
+    """A reply mutation telling ``entry_lie`` about the first entry."""
 
-    return mutate
-
-
-def batch_form(entry_lie):
     def mutate(hop, reply):
         if entry_lie(hop, reply[msg.KEY_ENTRIES][0]):
             hop.resign_batch(reply)
@@ -419,9 +397,11 @@ def delete_field(key):
 
 
 class TestSingleForm:
+    """One entry: a lone Fig. 3 round."""
+
     @pytest.mark.parametrize("hop_name,lie_name", MATRIX)
     def test_lie_rejected(self, lie, hop_name, lie_name):
-        hop = lie(hop_name, single_form(ENTRY_LIES[lie_name]))
+        hop = lie(hop_name, first_entry(ENTRY_LIES[lie_name]))
         expected = ENTRY_EXPECTED[hop_name][lie_name]
         assert_rejected(expected, hop.run_single)
 
@@ -466,10 +446,29 @@ BATCH_LIES = {
 }
 
 
+#: the lies on the reply as a whole that a one-entry reply can tell:
+#: duplicating a nonce needs a second entry
+SINGLE_LIES = [name for name in BATCH_LIES if name != "duplicated-nonce"]
+
+
+class TestSingleFormReplyLies:
+    """The reply-wide lies, told about one entry."""
+
+    @pytest.mark.parametrize(
+        "hop_name,lie_name", [(h, name) for h in HOPS for name in SINGLE_LIES]
+    )
+    def test_rejected(self, lie, hop_name, lie_name):
+        mutate, expected = BATCH_LIES[lie_name]
+        hop = lie(hop_name, mutate)
+        assert_rejected(expected, hop.run_single)
+
+
 class TestBatchForm:
+    """Three entries: a fleet pass."""
+
     @pytest.mark.parametrize("hop_name,lie_name", MATRIX)
     def test_entry_lie_rejected(self, lie, hop_name, lie_name):
-        hop = lie(hop_name, batch_form(ENTRY_LIES[lie_name]))
+        hop = lie(hop_name, first_entry(ENTRY_LIES[lie_name]))
         expected = ENTRY_EXPECTED[hop_name][lie_name]
         assert_rejected(expected, hop.run_batch)
 
@@ -493,11 +492,11 @@ class TestRenamedServer:
         return True
 
     def test_single_rejected(self, lie):
-        hop = lie("Q2", single_form(self.rename))
+        hop = lie("Q2", first_entry(self.rename))
         assert_rejected(ProtocolError, hop.run_single)
 
     def test_batch_rejected(self, lie):
-        hop = lie("Q2", batch_form(self.rename))
+        hop = lie("Q2", first_entry(self.rename))
         assert_rejected(ProtocolError, hop.run_batch)
 
 
@@ -534,7 +533,7 @@ class TestReorder:
 
 class TestFailureEvent:
     def test_q2_failure_is_published_with_its_kind(self, lie, monkeypatch):
-        hop = lie("Q2", single_form(stale_nonce))
+        hop = lie("Q2", first_entry(stale_nonce))
         published = []
 
         class Recorder:
@@ -552,19 +551,24 @@ class TestFailureEvent:
 
 
 def stringify(field):
-    """A cloud server reply with ``field`` sent as ``str`` (per entry
-    for the nonce and quote of a batch)."""
+    """A cloud server reply with ``field`` sent as ``str`` (in every
+    entry for the nonce and the quote)."""
 
     def corrupt(reply):
         targets = [reply]
         if field in (msg.KEY_NONCE, msg.KEY_QUOTE):
-            targets = reply.get(msg.KEY_ENTRIES, targets)
+            targets = reply[msg.KEY_ENTRIES]
         for target in targets:
-            if field in target:
-                target[field] = "not-bytes"
+            target[field] = "not-bytes"
         return reply
 
     return corrupt
+
+
+WRONG_TYPED = [
+    msg.KEY_NONCE, msg.KEY_QUOTE, msg.KEY_SIGNATURE, msg.KEY_SESSION_CERT,
+    msg.KEY_BATCH_ROOT,
+]
 
 
 class TestWrongTypedFields:
@@ -577,12 +581,11 @@ class TestWrongTypedFields:
         monkeypatch.setattr(hop.cloud.controller, "auto_respond", False)
 
         def install(corrupt):
-            for name in ("_measure", "_measure_batch"):
-                honest = getattr(hop.server, name)
-                monkeypatch.setattr(
-                    hop.server, name,
-                    lambda *args, honest=honest: corrupt(honest(*args)),
-                )
+            honest = hop.server._handle_measure
+            monkeypatch.setattr(
+                hop.server, "_handle_measure",
+                lambda peer, body: corrupt(honest(peer, body)),
+            )
             return hop
 
         return install
@@ -592,18 +595,12 @@ class TestWrongTypedFields:
         assert not report.healthy
         assert "measurement collection failed" in report.explanation
 
-    @pytest.mark.parametrize(
-        "field",
-        [msg.KEY_NONCE, msg.KEY_QUOTE, msg.KEY_SIGNATURE, msg.KEY_SESSION_CERT],
-    )
+    @pytest.mark.parametrize("field", WRONG_TYPED)
     def test_attest(self, lying_server, field):
         hop = lying_server(stringify(field))
         self.assert_failed_closed(hop.customer.attest(hop.vids[0], PROP).report)
 
-    @pytest.mark.parametrize(
-        "field",
-        [msg.KEY_NONCE, msg.KEY_QUOTE, msg.KEY_SIGNATURE, msg.KEY_SESSION_CERT],
-    )
+    @pytest.mark.parametrize("field", WRONG_TYPED)
     def test_attest_fleet(self, lying_server, field):
         hop = lying_server(stringify(field))
         results = hop.customer.attest_fleet([(vid, PROP) for vid in hop.vids])
@@ -612,11 +609,13 @@ class TestWrongTypedFields:
             self.assert_failed_closed(result.report)
 
     def test_attest_fleet_with_str_batch_root_falls_back(self, lying_server):
-        """Only the batch form has a root: the failed batch falls back
-        to per-round rounds, which the server answers honestly."""
+        """The failed shared round falls back to one round per VM; every
+        reply carries a root, so each of those fails closed too."""
         hop = lying_server(stringify(msg.KEY_BATCH_ROOT))
         results = hop.customer.attest_fleet([(vid, PROP) for vid in hop.vids])
-        assert [result.report.healthy for result in results] == [True] * 3
+        assert len(results) == 3
+        for result in results:
+            self.assert_failed_closed(result.report)
 
 
 def report_lie(edit):
@@ -660,11 +659,11 @@ class TestMalformedReport:
     @pytest.mark.parametrize("hop_name", ["Q2", "Q1"])
     @pytest.mark.parametrize("lie_name", list(REPORT_LIES))
     def test_single_rejected(self, lie, hop_name, lie_name):
-        hop = lie(hop_name, single_form(report_lie(REPORT_LIES[lie_name])))
+        hop = lie(hop_name, first_entry(report_lie(REPORT_LIES[lie_name])))
         assert_rejected(ProtocolError, hop.run_single)
 
     @pytest.mark.parametrize("hop_name", ["Q2", "Q1"])
     @pytest.mark.parametrize("lie_name", list(REPORT_LIES))
     def test_batch_rejected(self, lie, hop_name, lie_name):
-        hop = lie(hop_name, batch_form(report_lie(REPORT_LIES[lie_name])))
+        hop = lie(hop_name, first_entry(report_lie(REPORT_LIES[lie_name])))
         assert_rejected(ProtocolError, hop.run_batch)

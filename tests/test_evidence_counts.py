@@ -1,13 +1,17 @@
 """The batching claim in count form: signatures do not grow with the fleet.
 
-DESIGN §7 claims one signature per hop per batch. Counted at the entry
-points of :mod:`repro.protocol.evidence`, a fleet pass signs and
-verifies one batch per cloud server reached (Q3), one per Attestation
-Server (Q2) and one for the customer (Q1), whether it attests 8 VMs or
-32. Unlike the wall-clock ``fleet`` row of ``benchmarks/bench_paired.py``,
+DESIGN §7 claims one signature per hop per request. Counted at the
+entry points of :mod:`repro.protocol.evidence`, a fleet pass signs and
+verifies once per cloud server reached (Q3), once per Attestation
+Server (Q2) and once for the customer (Q1), whether it attests 8 VMs
+or 32. Engine events and RSA signatures per attested VM are recorded
+exactly for a lone round (n = 1) and a 64-VM fleet pass (n = 64).
+Unlike the wall-clock ``fleet`` row of ``benchmarks/bench_paired.py``,
 these counts do not depend on the host.
 """
 
+import cProfile
+import pstats
 from collections import Counter
 
 import pytest
@@ -16,7 +20,7 @@ from repro import CloudMonatt, SecurityProperty
 from repro.protocol import evidence
 
 PROP = SecurityProperty.RUNTIME_INTEGRITY
-ENTRY_POINTS = ("sign_round", "sign_batch", "verify_round", "verify_batch")
+ENTRY_POINTS = ("sign", "verify")
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +68,54 @@ def test_signatures_per_pass_do_not_grow_with_the_fleet(fleet, monkeypatch):
     assert expected == hop_counts(cloud, large) == {"Q3": 4, "Q2": 2, "Q1": 1}
     per_batch = Counter()
     for hop, batches in expected.items():
-        per_batch["sign_batch", hop] = batches
-        per_batch["verify_batch", hop] = batches
+        per_batch["sign", hop] = batches
+        per_batch["verify", hop] = batches
     assert count_pass(cloud, customer, small, monkeypatch) == per_batch
     assert count_pass(cloud, customer, large, monkeypatch) == per_batch
+
+
+#: exact engine events and RSA signatures (calls to
+#: ``repro.crypto.signatures.sign``) per attested VM, on warm channels
+PER_VM = {
+    1: {"events": 359.0, "signs": 6.0},
+    64: {"events": 43.78125, "signs": 0.40625},
+}
+
+
+@pytest.fixture(scope="module")
+def fleet64():
+    cloud = CloudMonatt(num_servers=8, seed=29, key_bits=512)
+    customer = cloud.register_customer("alice")
+    vids = [
+        customer.launch_vm("small", "cirros", properties=[PROP]).vid
+        for _ in range(64)
+    ]
+    customer.attest_fleet([(vid, PROP) for vid in vids])  # warm every channel
+    return cloud, customer, vids
+
+
+def per_vm(cloud, run, n):
+    """Engine events and RSA signatures per VM while ``run()`` attests
+    ``n`` VMs."""
+    events = cloud.engine.events_fired
+    profiler = cProfile.Profile()
+    profiler.enable()
+    results = run()
+    profiler.disable()
+    assert all(result.report.healthy for result in results)
+    signs = sum(
+        calls
+        for (path, _line, name), (_primitive, calls, *_rest)
+        in pstats.Stats(profiler).stats.items()
+        if path.endswith("crypto/signatures.py") and name == "sign"
+    )
+    return {"events": (cloud.engine.events_fired - events) / n, "signs": signs / n}
+
+
+def test_counts_per_attested_vm(fleet64):
+    cloud, customer, vids = fleet64
+    lone = per_vm(cloud, lambda: [customer.attest(vids[0], PROP)], 1)
+    fleet = per_vm(
+        cloud, lambda: customer.attest_fleet([(vid, PROP) for vid in vids]), 64
+    )
+    assert {1: lone, 64: fleet} == PER_VM

@@ -242,8 +242,8 @@ class TestMonitorModule:
                           MEAS_TASK_LIST, MEAS_KERNEL_MODULES),
         )
         assert not module.window_required(request.measurements)
-        module.begin(request)
-        result = module.collect(request)
+        module.begin([request])
+        (result,), _hits = module.collect([request])
         assert set(result) == set(request.measurements)
         assert any(t["name"] == "sshd" for t in result[MEAS_TASK_LIST])
 
@@ -255,9 +255,9 @@ class TestMonitorModule:
             window_ms=500.0,
         )
         assert module.window_required(request.measurements)
-        module.begin(request)
+        module.begin([request])
         hv.run_for(500.0)
-        result = module.collect(request)
+        (result,), _hits = module.collect([request])
         usage = result[MEAS_CPU_USAGE]
         assert usage["cpu_ms"] / usage["wall_ms"] == pytest.approx(1.0, abs=0.02)
         assert sum(result[MEAS_CPU_INTERVAL_HISTOGRAM]) > 0
@@ -266,7 +266,7 @@ class TestMonitorModule:
         module, _ = full_module
         request = MeasurementRequest(vid=VmId("vm-a"), measurements=("bogus",))
         with pytest.raises(StateError):
-            module.collect(request)
+            module.collect([request])
 
     def test_unnamed_provider_rejected(self):
         class Nameless(CpuUsageProvider):

@@ -113,9 +113,11 @@ class TestControllerResilience:
         )
         body = {
             msg.KEY_TYPE: "runtime_attest_current",
-            msg.KEY_VID: str(vm.vid),
-            msg.KEY_PROPERTY: "runtime_integrity",
-            msg.KEY_NONCE: b"\x42" * 16,
+            msg.KEY_ENTRIES: [{
+                msg.KEY_VID: str(vm.vid),
+                msg.KEY_PROPERTY: "runtime_integrity",
+                msg.KEY_NONCE: b"\x42" * 16,
+            }],
         }
         alice.endpoint.call("controller", dict(body))
         with pytest.raises(CloudMonattError):

@@ -16,7 +16,10 @@ cipher and the secure channel produce, byte for byte:
   subclasses, tuples and bytearrays.
 
 Every digest was recorded before the encoder and the record cipher
-were rewritten; any change to a protocol byte changes a digest. Both
+were rewritten; any change to a protocol byte changes a digest. The two
+``wire`` digests were re-recorded when every hop moved to the one
+``entries`` evidence form (a lone round is a one-entry batch); the
+reports, responses and audit logs they carry kept their digests. Both
 modexp engines compute the same integers, so the digests hold on GMP
 and on built-in ``pow`` alike.
 """
@@ -36,12 +39,12 @@ KEY_BITS = 512
 SEED = 314
 
 ROUND_SHA256 = {
-    "wire": "c73ed663e390e222864327e070d2a46bf6e8b27dfd86d58aac1e7f21d616b7a2",
+    "wire": "ad2801414c44444f5efadbfb92eeb465c2fe4a5c286c388777838852c3c4fce1",
     "response": "3783ac1a041dc18ac92337cd33299700cc500d6cd8b73da1f6c75f63493a9f50",
     "audit": "20ef1d5d47ed2e6f0e23900f47a2d0d9f7efcd29d86a32999339efd3ff777933",
 }
 FLEET_SHA256 = {
-    "wire": "68c3108e586e2483da1331aec4c66dde50c4a6c2579e1c8a8a0c1219b61c7b8a",
+    "wire": "c843675185933ee293adedff6e69d07dd5973b3609ea35fe3063f16b64c692fc",
     "reports": "76bd9ea676c79da6a91a341fc7bc836cc0b9dc75994264539dbd4f49d5c81965",
     "audit_head": "e007d5d5408001f414b96573acbc8e3cc18652cce9c415623aec83fed526eefb",
 }
