@@ -14,7 +14,7 @@ quotes). Offline, we implement the required primitives ourselves:
 - :mod:`repro.crypto.signatures` — RSA signatures with SHA-256 and
   PKCS#1-v1.5-style padding.
 - :mod:`repro.crypto.symmetric` — authenticated symmetric encryption
-  (HMAC-SHA256 counter-mode keystream, encrypt-then-MAC).
+  (one SHAKE-256 keystream per record, HMAC-SHA256 encrypt-then-MAC).
 - :mod:`repro.crypto.kdf` — HKDF-style key derivation for session keys.
 - :mod:`repro.crypto.nonces` — nonce generation and replay caches.
 - :mod:`repro.crypto.certificates` — public-key certificates and the

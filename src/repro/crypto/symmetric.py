@@ -2,15 +2,16 @@
 
 The SSL-like channels of paper Fig. 3 protect message bodies with
 symmetric session keys (Kx, Ky, Kz). We build an authenticated cipher from
-HMAC-SHA256 alone:
+two standard hash functions:
 
-- **Keystream**: ``HMAC(enc_key, nonce || counter)`` blocks XORed over the
-  plaintext (a counter-mode stream cipher). Each block is one one-shot
-  ``hmac.digest`` call, and the XOR is a single big-integer operation
-  over the whole message.
-- **Integrity**: encrypt-then-MAC with an independent MAC key; the tag
-  covers nonce and ciphertext, so truncation, bit flips and nonce swaps
-  are all rejected.
+- **Keystream**: ``SHAKE256(enc_key || nonce)`` squeezed to the record's
+  length and XORed over the plaintext. Key and nonce have fixed lengths,
+  so this is a keyed-sponge PRF, the construction NIST's KMAC (SP
+  800-185) standardises. One XOF call covers the whole record, and the
+  XOR is a single big-integer operation.
+- **Integrity**: an HMAC-SHA256 tag, encrypt-then-MAC with an
+  independent MAC key; the tag covers nonce and ciphertext, so
+  truncation, bit flips and nonce swaps are all rejected.
 
 Encryption and MAC keys are derived from the session key with HKDF so a
 single 32-byte session key is all the handshake must agree on.
@@ -18,6 +19,7 @@ single 32-byte session key is all the handshake must agree on.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 from dataclasses import dataclass, field
 
@@ -26,7 +28,6 @@ from repro.crypto.kdf import hkdf
 
 _MAC_SIZE = 32
 _NONCE_SIZE = 16
-_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,7 @@ class SymmetricKey:
 def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """``data`` XOR the first ``len(data)`` keystream bytes."""
     length = len(data)
-    stream = b"".join([
-        hmac.digest(key, nonce + counter.to_bytes(8, "big"), "sha256")
-        for counter in range(-(-length // _BLOCK))
-    ])[:length]
+    stream = hashlib.shake_256(key + nonce).digest(length)
     mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
     return mixed.to_bytes(length, "big")
 

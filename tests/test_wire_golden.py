@@ -10,8 +10,8 @@ cipher and the secure channel produce, byte for byte:
 - (b) a 3-VM ``attest_fleet`` pass: wire bytes, encoded reports and the
   audit head;
 - (c) known-answer ``seal`` outputs for a fixed key and nonce at
-  plaintext lengths around the 32-byte keystream block, each opened
-  back;
+  plaintext lengths 0, 1, 31, 32, 33 and 1000, each opened back, and
+  the same records built independently from ``hashlib`` and ``hmac``;
 - (d) ``encode`` of a fixed corpus, including ``int``/``str``
   subclasses, tuples and bytearrays.
 
@@ -19,17 +19,23 @@ Every digest was recorded before the encoder and the record cipher
 were rewritten; any change to a protocol byte changes a digest. The two
 ``wire`` digests were re-recorded when every hop moved to the one
 ``entries`` evidence form (a lone round is a one-entry batch); the
-reports, responses and audit logs they carry kept their digests. Both
+reports, responses and audit logs they carry kept their digests. The
+seal known answers and both ``wire`` digests were re-recorded again
+when the record keystream moved from HMAC-SHA256 counter blocks to one
+SHAKE-256 call per record: only ciphertext bytes moved, so every record
+length and the reports, responses and audit logs kept their digests. Both
 modexp engines compute the same integers, so the digests hold on GMP
 and on built-in ``pow`` alike.
 """
 
 import enum
 import hashlib
+import hmac
 
 import pytest
 
 from repro import CloudMonatt, SecurityProperty
+from repro.common.errors import CryptoError
 from repro.crypto.encoding import decode, encode
 from repro.crypto.signatures import clear_verify_memo
 from repro.crypto.symmetric import SymmetricKey, open_sealed, seal
@@ -39,22 +45,22 @@ KEY_BITS = 512
 SEED = 314
 
 ROUND_SHA256 = {
-    "wire": "ad2801414c44444f5efadbfb92eeb465c2fe4a5c286c388777838852c3c4fce1",
+    "wire": "0a4fb277667fa89d46ada7fbf9a09818ddb3f43615409d85c7ad00f988c3ce99",
     "response": "3783ac1a041dc18ac92337cd33299700cc500d6cd8b73da1f6c75f63493a9f50",
     "audit": "20ef1d5d47ed2e6f0e23900f47a2d0d9f7efcd29d86a32999339efd3ff777933",
 }
 FLEET_SHA256 = {
-    "wire": "c843675185933ee293adedff6e69d07dd5973b3609ea35fe3063f16b64c692fc",
+    "wire": "8dc1a47e79bf73ffb339f0c5f9b347bdca1bedd58d0643fd2c2e11ed410ef7c2",
     "reports": "76bd9ea676c79da6a91a341fc7bc836cc0b9dc75994264539dbd4f49d5c81965",
     "audit_head": "e007d5d5408001f414b96573acbc8e3cc18652cce9c415623aec83fed526eefb",
 }
 SEAL_SHA256 = {
     0: "0a852a715f3cbfa3d63eaa62a45b36eff2081843ec75cca9ccf45468b31e65a5",
-    1: "996a5563839adc64a33b3a9554abc8b739d85840ae0e0befe6647f6e8538d087",
-    31: "3eccb2f86a25733bfb03ba41467c1ee6d1c8491d69507d20f33502e1e1026d2c",
-    32: "d87c186821a90bd70c13808ff086b2780865aec2db982749cedadecdc49237c3",
-    33: "14b7b2427fea5b50ca45dce45c661a9c99244a63534c7ed2dac66dd938d8be1d",
-    1000: "993346ba0d54ae6f47a76e4609281c116d770933b37d005bdf744933664d37d5",
+    1: "791dc1d76704c9b82abda80ea139863e2cf74d54bfd2eec7455c1f8dbb8dd1ae",
+    31: "9e74ccb7f52201874c418a28c8e0013aeda78fc7e5f10d9203ded231c7e4ecd1",
+    32: "03e67d6926facf4ec50ae482eababd47f6678ba3f6cad5559fe8f46a5e5d7eef",
+    33: "01256a5db94f62edb968a810ab7c5ad2dd5ac889caf78b0a68e230c2d2fd02f0",
+    1000: "4f90eeba50d9ecaa14320c40d6f25880b59743506b0df2181655c11f433fcd4b",
 }
 CORPUS_SHA256 = (
     "90a99af0915f679427cfd00fe4242c68fa2d08544cfa6efd24150955e9347c7f"
@@ -175,6 +181,31 @@ def test_seal_known_answer(length):
     assert len(sealed) == 16 + length + 32
     assert hashlib.sha256(sealed).hexdigest() == SEAL_SHA256[length]
     assert open_sealed(SEAL_KEY, sealed) == plaintext
+
+
+def _hkdf32(master: bytes, info: bytes) -> bytes:
+    """RFC 5869 HKDF-SHA256 with an empty salt, one 32-byte block."""
+    prk = hmac.new(b"\x00" * 32, master, hashlib.sha256).digest()
+    return hmac.new(prk, info + b"\x01", hashlib.sha256).digest()
+
+
+@pytest.mark.parametrize("length", sorted(SEAL_SHA256))
+def test_seal_matches_independent_construction(length):
+    """``nonce || SHAKE256(enc || nonce) ^ pt || HMAC(mac, nonce || ct)``."""
+    plaintext = bytes((7 * i + 3) % 256 for i in range(length))
+    enc_key = _hkdf32(SEAL_KEY.material, b"enc")
+    mac_key = _hkdf32(SEAL_KEY.material, b"mac")
+    stream = hashlib.shake_256(enc_key + SEAL_NONCE).digest(length)
+    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    tag = hmac.new(mac_key, SEAL_NONCE + ciphertext, hashlib.sha256).digest()
+    expected = SEAL_NONCE + ciphertext + tag
+    assert seal(SEAL_KEY, plaintext, SEAL_NONCE) == expected
+    # one flipped bit in the nonce, the ciphertext or the tag is rejected
+    for offset in sorted({0, 16 + length // 2, len(expected) - 1}):
+        tampered = bytearray(expected)
+        tampered[offset] ^= 0x01
+        with pytest.raises(CryptoError):
+            open_sealed(SEAL_KEY, bytes(tampered))
 
 
 class _Level(enum.IntEnum):
