@@ -107,7 +107,10 @@ class FaultInjector:
             return None, 0.0
         if spec.corrupt > 0.0 and self._rng.random() < spec.corrupt:
             counts[FAULT_CORRUPT] += 1
-            offset = self._rng.randint(0, len(payload) - 1) if payload else 0
+            # one random() draw whatever the length: randint's draw count
+            # depends on the length, so a wire-size change would re-draw
+            # every later fault
+            offset = int(self._rng.random() * len(payload))
             corrupted = bytearray(payload)
             if corrupted:
                 corrupted[offset] ^= 0xFF
