@@ -11,8 +11,13 @@ Kz attestation server-cloud server). This module provides that layer:
   transcript; the responder replies with its certificate, its own
   transcript signature, and a key-confirmation MAC.
 - **Record layer**: canonical-encoded bodies sealed with authenticated
-  encryption; strictly increasing sequence numbers per direction defeat
-  within-channel replay, and per-channel keys defeat cross-channel
+  encryption. The initiator numbers its requests; each response echoes
+  its request's number, and each record's nonce is derived from its
+  number, so a record cannot be replayed under another number. The
+  responder takes each request number once, inside a sliding
+  anti-replay window (as DTLS does, RFC 6347 §4.1.2.6), so a call made
+  while another call to the same peer waits out wire latency cannot
+  desynchronize the channel. Per-channel keys defeat cross-channel
   replay.
 
 What the attacker tests show: an eavesdropper sees only ciphertext; any
@@ -52,18 +57,60 @@ from repro.network.network import Network
 from repro.telemetry import NULL_TELEMETRY, SPAN_HANDSHAKE, Telemetry
 
 
+#: request numbers a responder still takes below the highest it has taken
+_REPLAY_WINDOW = 64
+
+
 @dataclass
 class _Channel:
-    """Established session state with one peer."""
+    """Established session state with one peer.
+
+    The initiator numbers its requests with ``send_seq``. The responder
+    keeps a sliding anti-replay window: ``recv_seq`` is one past the
+    highest request number taken, and bit ``i`` of ``window`` marks
+    number ``recv_seq - 1 - i`` as taken.
+    """
 
     key: SymmetricKey
     channel_id: bytes
     send_seq: int = 0
     recv_seq: int = 0
+    window: int = 0
+
+    def check_fresh(self, seq: int) -> None:
+        """Raise ``ReplayError`` unless request ``seq`` may still be taken."""
+        age = self.recv_seq - 1 - seq
+        if age >= _REPLAY_WINDOW or (age >= 0 and self.window >> age & 1):
+            raise ReplayError(
+                f"record sequence {seq} already taken or below the window "
+                f"(highest taken {self.recv_seq - 1})"
+            )
+
+    def take(self, seq: int) -> None:
+        """Mark request ``seq`` taken, sliding the window past it if needed."""
+        if seq >= self.recv_seq:
+            shift = seq + 1 - self.recv_seq
+            self.window = (self.window << shift | 1) & ((1 << _REPLAY_WINDOW) - 1)
+            self.recv_seq = seq + 1
+        else:
+            self.window |= 1 << (self.recv_seq - 1 - seq)
 
 
 def _record_nonce(channel_id: bytes, direction: str, seq: int) -> bytes:
     return sha256(["nonce", channel_id, direction, seq])[:16]
+
+
+def _open_record(channel: _Channel, direction: str, seq: int, sealed: bytes) -> bytes:
+    """Authenticate and decrypt a record that claims number ``seq``.
+
+    The tag covers the nonce, so once it verifies, a nonce that is not
+    the one ``seq`` derives means a genuine record spliced under another
+    number: a replay.
+    """
+    plaintext = open_sealed(channel.key, sealed)
+    if sealed[:16] != _record_nonce(channel.channel_id, direction, seq):
+        raise ReplayError(f"record sealed for another number than {seq}")
+    return plaintext
 
 
 class SecureEndpoint:
@@ -144,7 +191,8 @@ class SecureEndpoint:
         """
         seq = message.get("seq")
         sealed = message.get("sealed")
-        if not isinstance(seq, int) or not isinstance(sealed, (bytes, bytearray)):
+        if not isinstance(seq, int) or seq < 0 or \
+                not isinstance(sealed, (bytes, bytearray)):
             raise RecordError("malformed data record")
         return seq, bytes(sealed)
 
@@ -162,17 +210,22 @@ class SecureEndpoint:
         half-synchronized session behind. Only the channel this endpoint
         initiated goes: the peer's own calls to this endpoint run on the
         channel the peer initiated, which stays as it was.
+
+        Calls may nest: one waiting out wire latency runs the engine, and
+        a callback due meanwhile may call the same peer on the same
+        channel. Each response is matched to its own request's number,
+        and the peer takes request numbers out of order.
         """
-        if peer not in self._channels:
-            self._handshake(peer)
+        channel = self._channels.get(peer) or self._handshake(peer)
         try:
-            return self._exchange(peer, body)
+            return self._exchange(peer, channel, body)
         except Exception:
-            self._channels.pop(peer, None)
+            # a nested call that failed may already have replaced it
+            if self._channels.get(peer) is channel:
+                del self._channels[peer]
             raise
 
-    def _exchange(self, peer: str, body: dict) -> dict:
-        channel = self._channels[peer]
+    def _exchange(self, peer: str, channel: _Channel, body: dict) -> dict:
         seq = channel.send_seq
         channel.send_seq += 1
         sealed = seal(
@@ -187,15 +240,11 @@ class SecureEndpoint:
         raw_response = self._network.rpc(self.name, peer, wire)
         response = self._expect(decode(raw_response), "data")
         response_seq, response_sealed = self._record_fields(response)
-        if response_seq != channel.recv_seq:
-            raise ReplayError(
-                f"response sequence {response_seq} != expected {channel.recv_seq}"
-            )
-        channel.recv_seq += 1
-        plaintext = open_sealed(channel.key, response_sealed)
-        return decode(plaintext)
+        if response_seq != seq:
+            raise ReplayError(f"response sequence {response_seq} != request {seq}")
+        return decode(_open_record(channel, "r2i", seq, response_sealed))
 
-    def _handshake(self, peer: str) -> None:
+    def _handshake(self, peer: str) -> _Channel:
         """Establish a session key with ``peer`` (initiator side)."""
         with self.telemetry.span(
             SPAN_HANDSHAKE,
@@ -206,10 +255,11 @@ class SecureEndpoint:
             # renders it as a "re-handshake" step
             rehandshake=self._handshake_counts.get(peer, 0) > 0,
         ):
-            self._handshake_rounds(peer)
+            channel = self._handshake_rounds(peer)
         self.telemetry.counter("channel.handshakes").inc(endpoint=self.name)
+        return channel
 
-    def _handshake_rounds(self, peer: str) -> None:
+    def _handshake_rounds(self, peer: str) -> _Channel:
         # per-peer handshake counter, NOT len(self._channels): the
         # channel count shrinks back after a teardown, so a count-based
         # label could repeat and re-derive a previous session seed
@@ -245,7 +295,8 @@ class SecureEndpoint:
         expected_confirm = hkdf(key.material, b"confirm", 32)
         if bytes(hs2["confirm"]) != expected_confirm:
             raise CryptoError("handshake key confirmation failed")
-        self._channels[peer] = _Channel(key=key, channel_id=channel_id)
+        channel = self._channels[peer] = _Channel(key=key, channel_id=channel_id)
+        return channel
 
     # ------------------------------------------------------------------
     # server side
@@ -297,10 +348,9 @@ class SecureEndpoint:
             # RecordError — transient for the resilience layer
             raise RecordError(f"no established channel with {peer!r}")
         seq, sealed = self._record_fields(message)
-        if seq != channel.recv_seq:
-            raise ReplayError(f"record sequence {seq} != expected {channel.recv_seq}")
-        plaintext = open_sealed(channel.key, sealed)
-        channel.recv_seq += 1
+        channel.check_fresh(seq)
+        plaintext = _open_record(channel, "i2r", seq, sealed)
+        channel.take(seq)
         if self.telemetry.enabled:
             self.telemetry.counter("channel.records_received").inc(
                 endpoint=self.name
@@ -309,14 +359,12 @@ class SecureEndpoint:
         if self.handler is None:
             raise ProtocolError(f"endpoint {self.name!r} has no application handler")
         response_body = self.handler(peer, body)
-        response_seq = channel.send_seq
-        channel.send_seq += 1
         sealed = seal(
             channel.key,
             encode(response_body),
-            _record_nonce(channel.channel_id, "r2i", response_seq),
+            _record_nonce(channel.channel_id, "r2i", seq),
         )
-        return encode({"t": "data", "seq": response_seq, "sealed": sealed})
+        return encode({"t": "data", "seq": seq, "sealed": sealed})
 
     def _check_cert(
         self, certificate: Certificate, expected_subject: Optional[str] = None

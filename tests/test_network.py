@@ -195,6 +195,68 @@ class TestAttackers:
         assert client.call("bob", {"x": 1})["echo"] == {"x": 1}
 
 
+class TestNestedCalls:
+    """A call made while another call to the same peer waits out latency.
+
+    ``net``'s crossings take about 0.5 ms each, so a callback due 0.2 ms
+    into the outer call fires while its request is on the wire, and one
+    due 0.8 ms in while its response is.
+    """
+
+    @pytest.mark.parametrize("nested_at_ms", [0.2, 0.8])
+    def test_nested_call_shares_the_channel(self, net, ca, nested_at_ms):
+        tap = Eavesdropper()
+        net.install_attacker(tap)
+        client, server = make_pair(net, ca)
+        client.call("bob", {"warmup": True})
+        inner = []
+        net.engine.schedule(
+            nested_at_ms, lambda: inner.append(client.call("bob", {"inner": 1}))
+        )
+        outer = client.call("bob", {"outer": 1})
+        assert inner == [{"echo": {"inner": 1}, "peer": "alice"}]
+        assert outer == {"echo": {"outer": 1}, "peer": "alice"}
+        assert client._handshake_counts == {"bob": 1}
+        assert "bob" in client._channels and "alice" in server._accepted
+        # replaying either record, as sent, is refused
+        requests = [env.payload for env in tap.captured
+                    if env.direction == "request"][-2:]
+        for record in requests:
+            with pytest.raises(ReplayError):
+                net.rpc("alice", "bob", record)
+        assert client.call("bob", {"after": 1})["echo"] == {"after": 1}
+
+    def test_record_spliced_under_a_fresh_number_rejected(self, net, ca):
+        from repro.crypto.encoding import decode, encode
+
+        tap = Eavesdropper()
+        net.install_attacker(tap)
+        client, _ = make_pair(net, ca)
+        client.call("bob", {"ask": 1})
+        captured = decode(tap.captured[-2].payload)
+        assert captured["t"] == "data" and captured["seq"] == 0
+        for seq in (1, 5):
+            spliced = encode({**captured, "seq": seq})
+            with pytest.raises(ReplayError):
+                net.rpc("alice", "bob", spliced)
+
+    def test_window_bounds_how_far_back_a_number_is_taken(self, net, ca):
+        client, server = make_pair(net, ca)
+        client.call("bob", {"i": 0})
+        channel = client._channels["bob"]
+        # number 70 slides the window: 7..69 may still be taken once,
+        # 1..6 are below it
+        for seq, taken in ((70, True), (10, True), (10, False), (6, False)):
+            channel.send_seq = seq
+            if taken:
+                assert client.call("bob", {"i": seq})["echo"] == {"i": seq}
+            else:
+                with pytest.raises(ReplayError):
+                    client.call("bob", {"i": seq})
+                client._channels["bob"] = channel
+        assert server._accepted["alice"].recv_seq == 71
+
+
 class TestRehandshakeSeedUniqueness:
     """Regression: the handshake seed fork label must never repeat.
 
