@@ -15,11 +15,13 @@ A change that only makes the program faster leaves all of these alone;
 one that moves a protocol byte, an extra event or one more signature
 fails here, with the differing values printed. ``--record`` rewrites the
 committed file instead of checking; do that only for a change that is
-meant to move them.
+meant to move them. ``--only WORKLOAD`` runs, checks or rewrites that one
+workload's entry and leaves the others as committed, so a change meant
+to move one workload's counts keeps the other three gated.
 
 Usage::
 
-    python tools/check_e2e_counts.py [--record]
+    python tools/check_e2e_counts.py [--only WORKLOAD] [--record]
 """
 
 from __future__ import annotations
@@ -49,16 +51,21 @@ TRACED_COUNTS = (
 )
 
 
-def measure() -> dict:
-    """One smoke run of every workload, reduced to its exact counts."""
+def measure(only: str | None = None) -> dict:
+    """One smoke run of every workload, or of ``only``, as exact counts."""
+    # --all --trace runs each workload untraced and traced; one workload
+    # takes a run of each
+    runs = ([["--workload", only, "--trace", trace] for trace in ("0", "1")]
+            if only else [["--all", "--trace"]])
     with tempfile.TemporaryDirectory(prefix="e2e_counts_") as tmp:
-        done = subprocess.run(
-            [sys.executable, str(RUN), "--all", "--scale", "smoke",
-             "--seed", str(SEED), "--trace", "--out", tmp],
-            cwd=tmp, stdout=subprocess.DEVNULL, check=False,
-        )
-        if done.returncode != 0:
-            raise SystemExit(f"run.py failed with exit code {done.returncode}")
+        for which in runs:
+            done = subprocess.run(
+                [sys.executable, str(RUN), *which, "--scale", "smoke",
+                 "--seed", str(SEED), "--out", tmp],
+                cwd=tmp, stdout=subprocess.DEVNULL, check=False,
+            )
+            if done.returncode != 0:
+                raise SystemExit(f"run.py failed with exit code {done.returncode}")
         counts = {}
         for plain in sorted(Path(tmp).glob(f"*.seed{SEED}.e2e.0.json")):
             record = json.loads(plain.read_text())
@@ -95,14 +102,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--record", action="store_true",
                         help=f"rewrite {GOLDEN.relative_to(REPO_ROOT)} "
                              "instead of checking")
+    parser.add_argument("--only", metavar="WORKLOAD",
+                        help="run, check or rewrite this workload's entry only")
     args = parser.parse_args(argv)
-    fresh = measure()
+    committed = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if args.only and args.only not in committed:
+        parser.error(f"--only {args.only!r}: not one of {sorted(committed)}")
+    fresh = measure(args.only)
     if args.record:
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {GOLDEN} ({len(fresh)} workloads)")
+        recorded = {**committed, **fresh} if args.only else fresh
+        GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN} ({', '.join(sorted(fresh))})")
         return 0
-    committed = json.loads(GOLDEN.read_text())
+    if args.only:
+        committed = {args.only: committed[args.only]}
     found = _differences(committed, fresh)
     for line in found:
         print(f"FAIL: {line}")
