@@ -29,7 +29,7 @@ from repro.common.errors import StateError
 from repro.common.identifiers import VmId
 from repro.tpm.trust_module import TrustModule
 from repro.xen.hypervisor import Hypervisor
-from repro.xen.scheduler import CreditScheduler
+from repro.xen.scheduler import CreditScheduler, Recorder
 from repro.xen.vcpu import VCpu
 
 NUM_RATE_BINS = 30
@@ -41,7 +41,7 @@ registers of the CPU monitor."""
 LATENCY_PER_LOCK = 0.05
 
 
-class BusLockHistogram:
+class BusLockHistogram(Recorder):
     """Scheduler listener: lock-rate distribution per VM.
 
     Each continuous run interval of duration ``D`` at lock rate ``r``
@@ -77,6 +77,7 @@ class BusLockHistogram:
 
     def histogram(self, vid: VmId) -> list[float]:
         """Milliseconds of run time per lock-rate bin."""
+        self.observe_hosts()
         return list(self._histograms.get(vid, [0.0] * self.num_bins))
 
     def distribution(self, vid: VmId) -> list[float]:
@@ -89,13 +90,14 @@ class BusLockHistogram:
 
     def reset(self, vid: Optional[VmId] = None) -> None:
         """Clear accumulated weights for one VM or all VMs."""
+        self.observe_hosts()
         if vid is None:
             self._histograms.clear()
         else:
             self._histograms.pop(vid, None)
 
 
-class BusActivityTrace:
+class BusActivityTrace(Recorder):
     """Scheduler listener recording a VM's bus activity as a time series.
 
     Where :class:`BusLockHistogram` aggregates rates into a distribution
@@ -125,6 +127,7 @@ class BusActivityTrace:
 
         Bins where the VM was not running read 0 (no bus activity).
         """
+        self.observe_hosts()
         if not self.segments:
             return []
         first = self.segments[0][0]
@@ -140,11 +143,13 @@ class BusActivityTrace:
 
     def reset(self) -> None:
         """Clear the recorded segments."""
+        self.observe_hosts()
         self.segments.clear()
 
 
 def concurrent_lock_rate(scheduler: CreditScheduler, excluding: VmId) -> float:
     """Total lock rate currently on the bus from other domains' vCPUs."""
+    scheduler.observe()
     total = 0.0
     for pcpu in scheduler.pcpus:
         running = pcpu.running

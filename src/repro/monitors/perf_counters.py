@@ -15,12 +15,13 @@ from typing import Optional
 
 from repro.common.identifiers import VmId
 from repro.tpm.trust_module import TrustModule
+from repro.xen.scheduler import Recorder
 
 NUM_INTERVAL_BINS = 30
 """Bin count; the paper notes a different number trades space/accuracy."""
 
 
-class RunIntervalHistogram:
+class RunIntervalHistogram(Recorder):
     """Scheduler listener accumulating a run-interval histogram per VM.
 
     Attach to a hypervisor with ``hypervisor.add_monitor(...)``. When a
@@ -56,6 +57,7 @@ class RunIntervalHistogram:
 
     def histogram(self, vid: VmId) -> list[int]:
         """Raw bin counts for a VM (zeros if never observed)."""
+        self.observe_hosts()
         return list(self._histograms.get(vid, [0] * self.num_bins))
 
     def distribution(self, vid: VmId) -> list[float]:
@@ -68,6 +70,7 @@ class RunIntervalHistogram:
 
     def reset(self, vid: Optional[VmId] = None) -> None:
         """Clear accumulated counts for one VM or all VMs."""
+        self.observe_hosts()
         if vid is None:
             self._histograms.clear()
         else:

@@ -55,6 +55,8 @@ class VmmProfileTool:
         self._open: dict[VmId, tuple[float, float, float]] = {}
 
     def _domain(self, vid: VmId):
+        """The domain, with its host brought up to now."""
+        self._hypervisor.scheduler.observe()
         domain = self._hypervisor.domains.get(vid)
         if domain is None:
             raise StateError(f"no domain {vid} on this hypervisor")

@@ -27,10 +27,17 @@ Design notes:
 - Compaction rebuilds the queue **in place** (slice assignment), never
   rebinding ``self._queue`` — the run loops hold a local alias to the
   list, and a callback-triggered cancel may compact mid-run.
+- A :class:`LocalQueue` holds one component's events off the heap and
+  fires them only when the component is next looked at. To tell which
+  of them the heap would already have fired at the current instant, an
+  event carries its sequence number and the instant it was scheduled
+  at, and the engine keeps the event it is firing (``None`` between
+  runs).
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -40,10 +47,20 @@ from repro.common.errors import StateError
 class _Event:
     """Mutable per-event state carried inside a heap tuple."""
 
-    __slots__ = ("time", "callback", "args", "cancelled", "popped")
+    __slots__ = ("time", "seq", "born", "callback", "args", "cancelled", "popped")
 
-    def __init__(self, time: float, callback: Callable[..., None], args: tuple):
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        born: float,
+        callback: Callable[..., None],
+        args: tuple,
+    ):
         self.time = time
+        #: the heap tie-breaker, and the instant the event was scheduled at
+        self.seq = seq
+        self.born = born
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -87,6 +104,10 @@ class Engine:
         self._seq = 0
         self._running = False
         self._cancelled = 0
+        #: the event being fired, None between runs; and the sequence
+        #: counter when the last run returned (see LocalQueue)
+        self._firing: Optional[_Event] = None
+        self._settled = 0
         #: total events executed over the engine's lifetime (telemetry)
         self.events_fired = 0
         #: mirror-replay override for :attr:`pending_count` (see
@@ -97,6 +118,12 @@ class Engine:
     def now(self) -> float:
         """Current simulation time in milliseconds."""
         return self._now
+
+    @property
+    def cause_time(self) -> Optional[float]:
+        """When the event being fired was scheduled; None between runs."""
+        firing = self._firing
+        return None if firing is None else firing.born
 
     @property
     def pending_count(self) -> int:
@@ -142,9 +169,10 @@ class Engine:
         """
         if delay < 0:
             raise StateError(f"cannot schedule into the past (delay={delay})")
-        event = _Event(self._now + delay, callback, args)
+        now = self._now
         seq = self._seq
         self._seq = seq + 1
+        event = _Event(now + delay, seq, now, callback, args)
         heappush(self._queue, (event.time, seq, event))
         return EventHandle(event)
 
@@ -158,9 +186,9 @@ class Engine:
         """
         if time < self._now:
             raise StateError(f"cannot schedule into the past (time={time})")
-        event = _Event(time, callback, args)
         seq = self._seq
         self._seq = seq + 1
+        event = _Event(time, seq, self._now, callback, args)
         heappush(self._queue, (time, seq, event))
         return EventHandle(event)
 
@@ -193,7 +221,12 @@ class Engine:
                 continue
             self._now = event.time
             self.events_fired += 1
-            event.callback(*event.args)
+            self._firing = event
+            try:
+                event.callback(*event.args)
+            finally:
+                self._firing = None
+                self._settled = self._seq
             return True
         return False
 
@@ -213,16 +246,21 @@ class Engine:
             raise StateError("run_until target is in the past")
         queue = self._queue
         pop = heappop
-        while queue and queue[0][0] <= end_time:
-            time_, _, event = pop(queue)
-            event.popped = True
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            if time_ > self._now:
-                self._now = time_
-            self.events_fired += 1
-            event.callback(*event.args)
+        try:
+            while queue and queue[0][0] <= end_time:
+                time_, _, event = pop(queue)
+                event.popped = True
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                if time_ > self._now:
+                    self._now = time_
+                self.events_fired += 1
+                self._firing = event
+                event.callback(*event.args)
+        finally:
+            self._firing = None
+            self._settled = self._seq
         if end_time > self._now:
             self._now = end_time
 
@@ -234,20 +272,133 @@ class Engine:
         queue = self._queue
         pop = heappop
         executed = 0
-        while queue:
-            time_, _, event = pop(queue)
-            event.popped = True
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = time_
-            self.events_fired += 1
-            event.callback(*event.args)
-            executed += 1
-            if executed >= max_events:
-                raise StateError(f"exceeded {max_events} events; runaway loop?")
+        try:
+            while queue:
+                time_, _, event = pop(queue)
+                event.popped = True
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                self._now = time_
+                self.events_fired += 1
+                self._firing = event
+                event.callback(*event.args)
+                executed += 1
+                if executed >= max_events:
+                    raise StateError(f"exceeded {max_events} events; runaway loop?")
+        finally:
+            self._firing = None
+            self._settled = self._seq
         return executed
 
     def pending(self) -> int:
         """Number of live events still queued (see :attr:`pending_count`)."""
         return self.pending_count
+
+
+class LocalQueue:
+    """Events one component keeps off the engine's heap until it is looked at.
+
+    It schedules and cancels like an :class:`Engine`, but holds its
+    events on its own heap. Its owner calls :meth:`catch_up` before
+    anything reads or changes the component's state; that fires, in
+    order, every held event the engine would have fired by then, each
+    as if the engine were firing it (its clock and :attr:`Engine.
+    cause_time` read the event's own instants). The callbacks must
+    touch only the owner's state, so that firing them late changes
+    nothing anyone has seen. :meth:`release` moves every held event
+    onto the engine's heap, for an owner that stops deferring.
+
+    Held events take the engine's sequence numbers, so among themselves,
+    and on release among the heap's events, they keep the places that
+    scheduling them on the engine would have given. Which of those held
+    for the current instant have already fired:
+
+    - outside a run, all but those scheduled since the last run
+      returned;
+    - inside an event ``E``, those scheduled before ``E`` was. For an
+      event scheduled outside a replay that is a lower sequence number.
+      An event a replayed callback scheduled counts as scheduled at its
+      replayed instant, so before ``E`` when that instant is earlier
+      than the one ``E`` was scheduled at, and after ``E`` otherwise.
+    """
+
+    __slots__ = ("_engine", "_heap", "_replaying")
+
+    def __init__(self, engine: Engine):
+        self._engine = engine
+        #: (time, seq, replayed, event); ``replayed`` marks an event a
+        #: replayed callback scheduled
+        self._heap: list[tuple[float, int, bool, _Event]] = []
+        self._replaying = False
+
+    def schedule(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Hold ``callback(*args)`` for ``delay`` ms from now."""
+        if delay < 0:
+            raise StateError(f"cannot schedule into the past (delay={delay})")
+        return self._hold(self._engine._now + delay, callback, args)
+
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Hold ``callback(*args)`` for exactly ``time``."""
+        if time < self._engine._now:
+            raise StateError(f"cannot schedule into the past (time={time})")
+        return self._hold(time, callback, args)
+
+    def _hold(self, time: float, callback: Callable[..., None], args: tuple):
+        engine = self._engine
+        seq = engine._seq
+        engine._seq = seq + 1
+        event = _Event(time, seq, engine._now, callback, args)
+        heappush(self._heap, (time, seq, self._replaying, event))
+        return EventHandle(event)
+
+    def cancel(self, handle: EventHandle) -> None:
+        """Cancel a held event. Cancelling twice is a no-op."""
+        handle._event.cancelled = True
+
+    def catch_up(self) -> None:
+        """Fire, in order, every held event the engine would have fired.
+
+        A no-op from inside a replayed callback: the replay is already
+        firing them in order.
+        """
+        heap = self._heap
+        if self._replaying or not heap:
+            return
+        engine = self._engine
+        now = engine._now
+        firing = engine._firing
+        if firing is None:
+            horizon, born_before = engine._settled, math.inf
+        else:
+            horizon, born_before = firing.seq, firing.born
+        self._replaying = True
+        try:
+            while heap:
+                time_, seq, replayed, event = heap[0]
+                if time_ > now or time_ == now and (
+                    event.born >= born_before if replayed else seq >= horizon
+                ):
+                    break
+                heappop(heap)
+                event.popped = True
+                if not event.cancelled:
+                    engine._now = time_
+                    engine._firing = event
+                    event.callback(*event.args)
+        finally:
+            engine._now = now
+            engine._firing = firing
+            self._replaying = False
+
+    def release(self) -> None:
+        """Move every held event onto the engine's heap, in its place."""
+        queue = self._engine._queue
+        for time_, seq, _, event in self._heap:
+            if not event.cancelled:
+                heappush(queue, (time_, seq, event))
+        self._heap.clear()

@@ -114,8 +114,10 @@ class Hypervisor:
         self.scheduler.remove_listener(listener)
 
     def run_for(self, duration_ms: float) -> None:
-        """Advance simulation time by ``duration_ms``."""
+        """Advance simulation time by ``duration_ms``; the host is then
+        observed (see :meth:`CreditScheduler.observe`)."""
         self.engine.run_until(self.engine.now + duration_ms)
+        self.scheduler.observe()
 
     def run_until_domain_finishes(
         self, vid: VmId, max_ms: float = 10_000_000.0

@@ -75,16 +75,17 @@ def test_signatures_per_pass_do_not_grow_with_the_fleet(fleet, monkeypatch):
 
 
 #: exact engine events and RSA signatures (calls to
-#: ``repro.crypto.signatures.sign``) per attested VM, on warm channels
+#: ``repro.crypto.signatures.sign``) per attested VM, on warm channels.
+#: The idle VMs' hosts are never read during a round, so their
+#: heartbeats, ticks and accounting stay deferred (DESIGN §13)
 PER_VM = {
-    1: {"events": 359.0, "signs": 6.0},
-    64: {"events": 43.78125, "signs": 0.40625},
+    1: {"events": 0.0, "signs": 6.0},
+    64: {"events": 0.015625, "signs": 0.40625},
 }
 
 
-@pytest.fixture(scope="module")
-def fleet64():
-    cloud = CloudMonatt(num_servers=8, seed=29, key_bits=512)
+def _fleet64(num_servers: int):
+    cloud = CloudMonatt(num_servers=num_servers, seed=29, key_bits=512)
     customer = cloud.register_customer("alice")
     vids = [
         customer.launch_vm("small", "cirros", properties=[PROP]).vid
@@ -92,6 +93,11 @@ def fleet64():
     ]
     customer.attest_fleet([(vid, PROP) for vid in vids])  # warm every channel
     return cloud, customer, vids
+
+
+@pytest.fixture(scope="module")
+def fleet64():
+    return _fleet64(8)
 
 
 def per_vm(cloud, run, n):
@@ -119,3 +125,16 @@ def test_counts_per_attested_vm(fleet64):
         cloud, lambda: customer.attest_fleet([(vid, PROP) for vid in vids]), 64
     )
     assert {1: lone, 64: fleet} == PER_VM
+
+
+def test_events_per_attested_vm_do_not_grow_with_servers(fleet64):
+    """The same 64-VM pass spread over four times the servers: an idle
+    host costs no engine event until something reads it."""
+    wide = _fleet64(32)
+    passes = []
+    for cloud, customer, vids in (fleet64, wide):
+        events = cloud.engine.events_fired
+        customer.attest_fleet([(vid, PROP) for vid in vids])
+        passes.append((cloud.engine.events_fired - events) / len(vids))
+    assert len(wide[0].servers) == 4 * len(fleet64[0].servers)
+    assert passes[0] == passes[1] == PER_VM[64]["events"]
