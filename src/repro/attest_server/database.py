@@ -32,9 +32,6 @@ class AttestationLogRecord:
     server: ServerId
     prop: SecurityProperty
     healthy: bool
-    #: the property's headline metric, when it has one (relative CPU
-    #: usage for availability) — the input to trend analysis
-    metric: float | None = None
 
 
 @dataclass
@@ -71,13 +68,3 @@ class OatDatabase:
     def record(self, record: AttestationLogRecord) -> None:
         """Append an attestation outcome to the audit log."""
         self.log.append(record)
-
-    def history(
-        self, vid: VmId, prop: SecurityProperty | None = None
-    ) -> list[AttestationLogRecord]:
-        """Audit-log slice for one VM (optionally one property)."""
-        return [
-            r
-            for r in self.log
-            if r.vid == vid and (prop is None or r.prop == prop)
-        ]

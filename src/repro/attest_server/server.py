@@ -25,7 +25,6 @@ from repro.network.network import Network
 from repro.network.secure_channel import SecureEndpoint
 from repro.properties.catalog import PropertyCatalog, SecurityProperty
 from repro.properties.report import PropertyReport
-from repro.properties.trends import AvailabilityTrendAnalyzer
 from repro.protocol import evidence
 from repro.protocol import messages as msg
 from repro.resilience import RetryPolicy
@@ -205,29 +204,6 @@ class AttestationServer:
             evidence.Q2_RAW, out_entries, self.endpoint.sign, self.telemetry
         )
 
-    def availability_trend(self, vid: VmId):
-        """Trend analysis over the VM's availability attestation history.
-
-        Distinguishes a transient dip from sustained degradation — the
-        operational judgement the response module should act on (see
-        :mod:`repro.properties.trends`).
-        """
-        history = [
-            record
-            for record in self.database.history(
-                vid, SecurityProperty.CPU_AVAILABILITY
-            )
-            if record.metric is not None
-        ]
-        analyzer = AvailabilityTrendAnalyzer(
-            floor=self.interpreter.availability.default_entitled_share
-            * self.interpreter.availability.tolerance
-        )
-        return analyzer.analyze(
-            [record.time_ms for record in history],
-            [record.metric for record in history],
-        )
-
     def describe(self) -> dict:
         """Operator-facing identity card for this attestation server.
 
@@ -314,7 +290,6 @@ class AttestationServer:
                 server=server,
                 prop=prop,
                 healthy=report.healthy,
-                metric=report.details.get("relative_usage"),
             )
         )
         # round_tags() joins this tamper-evident entry to the flight

@@ -26,9 +26,7 @@ Every simulating command accepts ``--telemetry-out PATH``: the run
 executes with the observability hub (and its observatory consumer
 layer) enabled and exports a JSONL trace — spans, metrics, events,
 alerts, scoreboard, SLO report, stamped with the run's seed — when it
-finishes. ``--telemetry-format prometheus`` writes the final metrics
-in the Prometheus text exposition format instead. The ``--slo-*``
-flags set the per-leg latency targets the alert engine enforces.
+finishes. The ``--slo-*`` flags set the per-leg latency targets the alert engine enforces.
 """
 
 from __future__ import annotations
@@ -77,15 +75,10 @@ def _export_telemetry(
     path = getattr(args, "telemetry_out", None)
     if not path or not cloud.telemetry.enabled:
         return
-    from repro.telemetry import write_jsonl, write_prometheus
+    from repro.telemetry import write_jsonl
 
-    fmt = getattr(args, "telemetry_format", "jsonl")
     try:
-        if fmt == "prometheus":
-            # snapshot semantics: the last run's final metrics win
-            write_prometheus(cloud.telemetry, path)
-        else:
-            write_jsonl(cloud.telemetry, path, seed=args.seed, append=append)
+        write_jsonl(cloud.telemetry, path, seed=args.seed, append=append)
     except OSError as exc:
         print(f"error: cannot write telemetry trace to {path}: {exc}",
               file=sys.stderr)
@@ -673,10 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable the telemetry hub and write the run's "
                              "trace (spans, metrics, events, alerts, "
                              "scoreboard) to PATH")
-    parser.add_argument("--telemetry-format", default="jsonl",
-                        choices=["jsonl", "prometheus"],
-                        help="trace output format: jsonl (full trace) or "
-                             "prometheus (text exposition of final metrics)")
     parser.add_argument("--slo-q1", type=float, default=None, metavar="MS",
                         help="latency SLO target for protocol leg Q1 (ms)")
     parser.add_argument("--slo-q2", type=float, default=None, metavar="MS",

@@ -27,7 +27,6 @@ from repro.properties.covert_channel import (
     significant_peaks,
 )
 from repro.properties.ima import ImaAppraiser
-from repro.properties.trends import AvailabilityTrendAnalyzer, TrendVerdict
 from repro.properties.interpretation import InterpreterRegistry, PropertyInterpreter
 from repro.properties.report import PropertyReport
 from repro.properties.runtime_integrity import RuntimeIntegrityInterpreter
@@ -35,13 +34,11 @@ from repro.properties.startup_integrity import StartupIntegrityInterpreter
 
 __all__ = [
     "AvailabilityInterpreter",
-    "AvailabilityTrendAnalyzer",
     "CcHunterDetector",
     "CcHunterVerdict",
     "CovertChannelInterpreter",
     "ImaAppraiser",
     "RandomSourceSelector",
-    "TrendVerdict",
     "InterpreterRegistry",
     "PropertyCatalog",
     "PropertyInterpreter",

@@ -2,7 +2,7 @@
 
 A :class:`ShardedCustomer` is the customer-facing coordinator for a
 :class:`~repro.shard.plane.ShardPlane`. It presents the familiar
-single-cloud customer surface (launch, attest, fleet attest, policies)
+single-cloud customer surface (launch, attest, fleet attest)
 and internally routes every call to the shard owning the VM:
 
 * ``attest_fleet`` fans the request out as one per-shard batch per
@@ -13,10 +13,9 @@ and internally routes every call to the shard owning the VM:
   cross-shard fleet root — the intermediate-verifier pattern of the
   IBM scalable-attestation design (arXiv:2304.00382), where per-shard
   verifiers attest their slice and an aggregator binds their evidence.
-* ``register_policy`` splits a logical policy's entities by ring
-  ownership and registers one sub-policy per involved shard, so each
-  shard's continuous scheduler fires only for its own VMs;
-  ``policy_status`` merges the per-shard snapshots keyed by shard.
+* Standing monitoring policies are not split across shards: a policy
+  is registered with one controller (the paper keeps one per cloud,
+  §3.2.3), through that shard's own customer handle.
 
 Every per-VM round inside a shard is the unmodified single-controller
 protocol, so per-VM reports are byte-identical to an unsharded
@@ -29,10 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.cloud.customer import LaunchResult, VerifiedAttestation
-from repro.common.errors import StateError
 from repro.common.identifiers import VmId
-from repro.common.errors import PolicyError
-from repro.policy.model import MonitoringPolicy
 from repro.properties.catalog import SecurityProperty
 from repro.protocol.quotes import merkle_root
 
@@ -63,19 +59,6 @@ class CrossShardFleetReport:
     def healthy(self) -> bool:
         """Whether every merged report came back healthy."""
         return all(r.report.healthy for r in self.results)
-
-
-@dataclass(frozen=True)
-class RebalanceReport:
-    """What one add/remove-shard rebalance actually did."""
-
-    #: ``add:<name>`` or ``remove:<name>``
-    reason: str
-    #: vid → (old shard, new shard), only ring-adjacent moves
-    moved: dict[str, tuple[str, str]]
-    #: per source shard, how many in-flight rounds were drained before
-    #: any of its VMs were handed off
-    drained_rounds: dict[str, int]
 
 
 class ShardedCustomer:
@@ -116,8 +99,6 @@ class ShardedCustomer:
         the owning shard; the shard's controller runs the unmodified
         launch pipeline with that pre-assigned vid.
         """
-        from repro.shard.plane import VmSpec
-
         vid = self.plane.ids.vm_id()
         shard_name = self.plane.ring.owner(str(vid))
         result = self._call(
@@ -133,26 +114,10 @@ class ShardedCustomer:
         )
         if result.accepted:
             self.plane.placement[str(vid)] = shard_name
-            self.plane.specs[str(vid)] = VmSpec(
-                customer=self.name,
-                flavor_name=flavor_name,
-                image_name=image_name,
-                properties=tuple(properties or ()),
-                workload=dict(workload or {"name": "idle"}),
-                entitled_share=entitled_share,
-                dedicated=dedicated,
-            )
             self.plane.telemetry.counter("shard.launches").inc(
                 shard=shard_name
             )
         return result
-
-    def terminate_vm(self, vid: VmId) -> None:
-        """Terminate a VM on its owning shard and drop it from the plane."""
-        shard = self.plane.shard_of(vid)
-        self._call(shard.name, "terminate_vm", vid)
-        self.plane.placement.pop(str(vid), None)
-        self.plane.specs.pop(str(vid), None)
 
     # ------------------------------------------------------------------
     # attestation
@@ -240,64 +205,3 @@ class ShardedCustomer:
             root=root,
             by_shard=by_shard,
         )
-
-    # ------------------------------------------------------------------
-    # monitoring policies
-    # ------------------------------------------------------------------
-
-    def register_policy(self, policy) -> dict:
-        """Register a logical policy, split per shard by ring ownership.
-
-        Each involved shard's continuous scheduler receives a
-        sub-policy covering only its own VMs (plane-managed versioning
-        keeps re-splits monotonic across rebalances). Re-registering a
-        logical policy requires a higher logical version, mirroring the
-        single-controller migration contract.
-        """
-        if not isinstance(policy, MonitoringPolicy):
-            policy = MonitoringPolicy.from_dict(policy)
-        policy.validate()
-        for vid in policy.entities:
-            spec = self.plane.specs.get(str(vid))
-            if spec is None:
-                raise StateError(f"policy entity {vid!r} is not a plane VM")
-            if spec.customer != self.name:
-                raise PolicyError(
-                    f"policy entity {vid!r} belongs to another customer"
-                )
-        existing = self.plane._policies.get(policy.name)
-        if existing is not None:
-            owner, previous = existing
-            if owner != self.name:
-                raise PolicyError(
-                    f"policy {policy.name!r} is owned by another customer"
-                )
-            if policy.version <= previous.version:
-                raise PolicyError(
-                    f"policy {policy.name!r} version {policy.version} does "
-                    f"not supersede registered version {previous.version}"
-                )
-        self.plane._policies[policy.name] = (self.name, policy)
-        shards = self.plane._apply_policy_split(policy.name)
-        return {
-            "policy": policy.name,
-            "version": policy.version,
-            "shards": shards,
-        }
-
-    def policy_status(self) -> dict:
-        """Merged policy snapshot, keyed by shard.
-
-        ``shards`` carries each shard's full scheduler status (entries
-        already shard-tagged); ``entries`` flattens them for operators
-        who want one table across the plane.
-        """
-        statuses: dict[str, dict] = {}
-        entries: list[dict] = []
-        for shard_name in sorted(self.plane.shards):
-            if self.name not in self.plane._customers:
-                continue
-            status = self._call(shard_name, "policy_status")
-            statuses[shard_name] = status
-            entries.extend(status.get("entries", []))
-        return {"shards": statuses, "entries": entries}

@@ -4,8 +4,9 @@ A :class:`ShardPlane` owns N fully independent deployments, so their
 work can run on N cores — *if* the results the coordinator observes are
 indistinguishable from the serial in-process plane. This module is that
 executor layer. Every shard interaction in the plane and coordinator is
-expressed as a small command tuple (launch / attest / attest_fleet /
-register_policy / run_for / prewarm / drain / apply) executed by
+expressed as a small command tuple (``customer`` method calls such as
+launch / attest / attest_fleet, ``register_customer``, ``run_for``,
+``prewarm`` and ``apply``) executed by
 :func:`perform` against one shard; the executor decides *where*
 ``perform`` runs:
 
@@ -86,11 +87,6 @@ def perform(shard: "Shard", op: tuple):
         return None
     if kind == "prewarm":
         return shard.cloud.prewarm_for_fleet(op[1])
-    if kind == "drain":
-        pipeline = shard.cloud.controller.pipeline
-        depth = pipeline.depth
-        pipeline.flush()
-        return depth
     if kind == "apply":
         _, fn, args = op
         return fn(shard, *args)
@@ -157,12 +153,6 @@ class SerialShardExecutor:
     def pipeline_depth(self, shard_name: str) -> int:
         """Live in-flight round count on one shard's controller."""
         return self._plane.shards[shard_name].cloud.controller.pipeline.depth
-
-    def attach_shard(self, shard_name: str) -> None:
-        """No worker to fork: serial shards are served in-process."""
-
-    def release_shard(self, shard_name: str) -> None:
-        """No worker to retire."""
 
     def describe(self) -> dict:
         """Deterministic executor snapshot for ``plane.status()``."""
@@ -261,7 +251,7 @@ def _replay_delta(shard: "Shard", delta: dict) -> None:
 class ForkedShardExecutor:
     """Persistent forked workers, one command pipe each, merged replies.
 
-    Workers are forked at plane construction (and per added shard), so
+    Workers are forked at plane construction, so
     each child inherits its fully built deployment — keypools, the GMP
     engine, the warm verification memo — by copy-on-write;
     nothing is re-constructed or pickled at spawn. See the module
@@ -395,9 +385,6 @@ class ForkedShardExecutor:
         )
         self._assignment = {}
         for handle in failed:
-            if handle.shard_name not in plane.shards:
-                handle.finish()
-                continue
             try:
                 handle.finish(
                     value=perform(plane.shards[handle.shard_name], handle.op)
@@ -434,14 +421,14 @@ class ForkedShardExecutor:
             hub.round_tracking = False
             hub.tracer.enabled = False
             hub.observatory = None
-            fork_now, fork_fired = self._fork_state.get(name, (0.0, 0))
+            fork_now, fork_fired = self._fork_state[name]
             shard.cloud.engine.sync_clock(fork_now)
             # the replay really runs the mirror engine, so its stats
             # become live again from the fork-point base
             shard.cloud.engine.sync_stats(fork_fired, None)
         try:
             for handle in self._journal:
-                if not handle.done or handle.shard_name not in plane.shards:
+                if not handle.done:
                     continue
                 try:
                     perform(plane.shards[handle.shard_name], handle.op)
@@ -473,34 +460,6 @@ class ForkedShardExecutor:
         if self._fallback is not None:
             return self._fallback.pipeline_depth(shard_name)
         return self._depths.get(shard_name, 0)
-
-    def attach_shard(self, shard_name: str) -> None:
-        """Fork a dedicated worker for a newly built shard.
-
-        The child inherits the just-built mirror deployment, so its
-        authoritative copy starts at exactly the mirror's state.
-        """
-        if self._fallback is not None:
-            return
-        shard = self._plane.shards[shard_name]
-        worker = procpool.PersistentWorker(
-            _ShardWorker({shard_name: shard}),
-            name=f"shard-executor-{shard_name}",
-        )
-        self._workers.append(worker)
-        self._assignment[shard_name] = worker
-        self._fork_state[shard_name] = (
-            shard.cloud.engine.now, shard.cloud.engine.events_fired
-        )
-
-    def release_shard(self, shard_name: str) -> None:
-        """Retire a removed shard's routing (and its worker if idle)."""
-        worker = self._assignment.pop(shard_name, None)
-        self._fork_state.pop(shard_name, None)
-        self._depths.pop(shard_name, None)
-        if worker is not None and worker not in self._assignment.values():
-            worker.close()
-            self._workers = [w for w in self._workers if w is not worker]
 
     def describe(self) -> dict:
         """Deterministic executor snapshot for ``plane.status()``."""

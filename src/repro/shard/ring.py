@@ -13,19 +13,13 @@ the same vid lands on the same shard in every run, which is what lets
 the transcript-equivalence tests compare sharded and single-controller
 deployments at all.
 
-Rebalancing contract: derived rings (:meth:`ConsistentHashRing.
-with_shard` / :meth:`~ConsistentHashRing.without_shard`) share the
-parent's salt, so adding or removing one shard only reassigns the keys
-whose owning arc changed — all moved keys involve the added/removed
-shard, never a third party. :meth:`~ConsistentHashRing.moved_keys`
-computes exactly that set.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.common.errors import StateError
 from repro.crypto.drbg import HmacDrbg
@@ -50,10 +44,9 @@ def _digest(domain: bytes, salt: bytes, *parts: bytes) -> int:
 class ConsistentHashRing:
     """Deterministic consistent-hash ring over named shards.
 
-    ``shards`` is the initial shard set (order-insensitive: placement
-    depends only on the names, the seed, and ``vnodes``). ``seed``
-    feeds the DRBG that draws the ring salt; ``salt`` lets derived
-    rings share a parent's placement (internal use).
+    ``shards`` is the shard set (order-insensitive: placement depends
+    only on the names, the seed, and ``vnodes``). ``seed`` feeds the
+    DRBG that draws the ring salt.
     """
 
     def __init__(
@@ -61,65 +54,25 @@ class ConsistentHashRing:
         shards: Iterable[str] = (),
         seed: int = 0,
         vnodes: int = DEFAULT_VNODES,
-        salt: Optional[bytes] = None,
     ):
         if vnodes < 1:
             raise StateError("a ring needs at least one virtual node per shard")
         self.vnodes = vnodes
-        self.seed = seed
         #: the DRBG-drawn hash salt every placement digest mixes in
-        self.salt = (
-            salt
-            if salt is not None
-            else HmacDrbg(seed, personalization="shard-ring").generate(16)
-        )
-        self._shards: list[str] = []
-        self._points: list[int] = []
-        self._owners: list[str] = []
-        for name in sorted(str(s) for s in shards):
-            self._insert(name)  # raises on duplicate names
-
-    # ------------------------------------------------------------------
-    # construction / derivation
-    # ------------------------------------------------------------------
-
-    def _insert(self, name: str) -> None:
-        if name in self._shards:
-            raise StateError(f"shard {name!r} is already on the ring")
-        self._shards.append(name)
-        self._shards.sort()
-        pairs = list(zip(self._points, self._owners))
-        for index in range(self.vnodes):
-            point = _digest(
-                _POINT_DOMAIN,
-                self.salt,
-                name.encode(),
-                index.to_bytes(4, "big"),
-            )
-            pairs.append((point, name))
+        self.salt = HmacDrbg(seed, personalization="shard-ring").generate(16)
+        self._shards = sorted(str(s) for s in shards)
+        if len(set(self._shards)) != len(self._shards):
+            raise StateError(f"duplicate shard names in {self._shards!r}")
         # ties (astronomically unlikely) resolve by shard name so the
         # table stays a pure function of (salt, shard set, vnodes)
-        pairs.sort()
+        pairs = sorted(
+            (_digest(_POINT_DOMAIN, self.salt, name.encode(),
+                     index.to_bytes(4, "big")), name)
+            for name in self._shards
+            for index in range(vnodes)
+        )
         self._points = [p for p, _ in pairs]
         self._owners = [o for _, o in pairs]
-
-    def with_shard(self, name: str) -> "ConsistentHashRing":
-        """A new ring with ``name`` added (same salt → minimal movement)."""
-        ring = ConsistentHashRing(
-            self._shards, seed=self.seed, vnodes=self.vnodes, salt=self.salt
-        )
-        ring._insert(str(name))
-        return ring
-
-    def without_shard(self, name: str) -> "ConsistentHashRing":
-        """A new ring with ``name`` removed (same salt → minimal movement)."""
-        name = str(name)
-        if name not in self._shards:
-            raise StateError(f"shard {name!r} is not on the ring")
-        remaining = [s for s in self._shards if s != name]
-        return ConsistentHashRing(
-            remaining, seed=self.seed, vnodes=self.vnodes, salt=self.salt
-        )
 
     # ------------------------------------------------------------------
     # lookup
@@ -152,21 +105,3 @@ class ConsistentHashRing:
         for key in keys:
             counts[self.owner(key)] += 1
         return counts
-
-    def moved_keys(
-        self, target: "ConsistentHashRing", keys: Sequence[str]
-    ) -> dict[str, tuple[str, str]]:
-        """Keys whose owner differs between this ring and ``target``.
-
-        Returns ``{key: (old_owner, new_owner)}`` preserving the input
-        key order (insertion-ordered dict). With a shared salt this is
-        exactly the ring-adjacent set: every moved key names the added
-        or removed shard on one side of its tuple.
-        """
-        moved: dict[str, tuple[str, str]] = {}
-        for key in keys:
-            old = self.owner(key)
-            new = target.owner(key)
-            if old != new:
-                moved[str(key)] = (old, new)
-        return moved

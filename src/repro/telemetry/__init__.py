@@ -66,9 +66,7 @@ from repro.telemetry.exporters import (
     slo_report_from_records,
     spans_from_records,
     summary_rows,
-    to_prometheus_text,
     write_jsonl,
-    write_prometheus,
 )
 from repro.telemetry.observatory import (
     DEFAULT_SLO_TARGETS,
@@ -127,8 +125,6 @@ __all__ = [
     "flight_records_from_records",
     "scoreboard_from_records",
     "slo_report_from_records",
-    "to_prometheus_text",
-    "write_prometheus",
     "Alert",
     "AlertEngine",
     "DEFAULT_SLO_TARGETS",

@@ -1,4 +1,4 @@
-"""Telemetry exporters: JSONL event log, console summary, Prometheus.
+"""Telemetry exporters: JSONL event log and console summary.
 
 The JSONL format is line-delimited JSON with a ``type`` discriminator:
 
@@ -27,9 +27,7 @@ telemetry-enabled clouds):
 Nothing wall-clock-derived is written, so two same-seed runs produce
 byte-identical files — :func:`read_jsonl` round-trips them for the
 regression tests, the ``health`` / ``alerts`` / ``trace`` CLI
-subcommands, and offline analysis. :func:`to_prometheus_text` renders
-a metrics registry in the Prometheus text exposition format for
-scrape-style integration.
+subcommands, and offline analysis.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from typing import IO, Iterable, Optional
 
 from repro.common.errors import CloudMonattError
 from repro.telemetry.hub import Telemetry
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TraceFormatError(CloudMonattError):
@@ -223,110 +220,3 @@ def console_summary(telemetry: Telemetry, title: str = "Telemetry summary") -> s
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition format
-# ----------------------------------------------------------------------
-
-
-def _prom_metric_name(name: str) -> str:
-    """Map a dotted metric name to the Prometheus name charset."""
-    sanitized = "".join(
-        ch if ch.isascii() and (ch.isalnum() or ch in "_:") else "_"
-        for ch in name
-    )
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized or "_"
-
-
-def _prom_escape_label(value: str) -> str:
-    """Escape a label value per the text exposition format."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _prom_labels(labels: tuple, extra: "tuple[tuple[str, str], ...]" = ()) -> str:
-    """Render a label key (+ extras like ``le``) as ``{k="v",...}``."""
-    pairs = [
-        f'{_prom_metric_name(key)}="{_prom_escape_label(str(value))}"'
-        for key, value in (*labels, *extra)
-    ]
-    return "{" + ",".join(pairs) + "}" if pairs else ""
-
-
-def _prom_value(value: float) -> str:
-    """Canonical number rendering (integers without a trailing .0)."""
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def to_prometheus_text(registry: MetricsRegistry) -> str:
-    """The registry in the Prometheus text exposition format.
-
-    Counters gain the conventional ``_total`` suffix; histograms emit
-    cumulative ``_bucket`` lines (inclusive upper bounds, closing with
-    ``le="+Inf"``) plus ``_sum`` and ``_count``. Output ordering is the
-    registry's sorted-name, sorted-label ordering, so same-seed runs
-    render byte-identical text.
-    """
-    lines: list[str] = []
-    for name in registry.names():
-        instrument = registry.instrument(name)
-        prom_name = _prom_metric_name(name)
-        if isinstance(instrument, Counter):
-            prom_name += "_total"
-            lines.append(f"# TYPE {prom_name} counter")
-            for labels, value in instrument.series():
-                lines.append(
-                    f"{prom_name}{_prom_labels(labels)} {_prom_value(value)}"
-                )
-        elif isinstance(instrument, Gauge):
-            lines.append(f"# TYPE {prom_name} gauge")
-            for labels, value in instrument.series():
-                lines.append(
-                    f"{prom_name}{_prom_labels(labels)} {_prom_value(value)}"
-                )
-        elif isinstance(instrument, Histogram):
-            lines.append(f"# TYPE {prom_name} histogram")
-            for labels, series in instrument.series():
-                cumulative = 0
-                for edge, count in zip(
-                    instrument.buckets, series.bucket_counts
-                ):
-                    cumulative += count
-                    lines.append(
-                        f"{prom_name}_bucket"
-                        f"{_prom_labels(labels, (('le', _prom_value(edge)),))}"
-                        f" {cumulative}"
-                    )
-                cumulative += series.bucket_counts[-1]
-                lines.append(
-                    f"{prom_name}_bucket"
-                    f"{_prom_labels(labels, (('le', '+Inf'),))} {cumulative}"
-                )
-                lines.append(
-                    f"{prom_name}_sum{_prom_labels(labels)} "
-                    f"{_prom_value(series.sum)}"
-                )
-                lines.append(
-                    f"{prom_name}_count{_prom_labels(labels)} "
-                    f"{len(series.values)}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prometheus(
-    telemetry: Telemetry, destination: "str | IO[str]"
-) -> None:
-    """Write the hub's final metrics in Prometheus text format."""
-    telemetry.sample_engine()
-    text = to_prometheus_text(telemetry.metrics)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    with open(destination, "w", encoding="utf-8") as handle:
-        handle.write(text)

@@ -163,16 +163,6 @@ class TestObservatoryCommands:
         assert main(["health", str(bare)]) == 2
         assert "no scoreboard snapshot" in capsys.readouterr().err
 
-    def test_prometheus_format(self, tmp_path, capsys):
-        path = str(tmp_path / "metrics.prom")
-        assert main(["--seed", "7", "--telemetry-out", path,
-                     "--telemetry-format", "prometheus", "demo"]) == 0
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        assert "# TYPE" in text
-        assert "_total" in text
-        assert "_bucket{" in text
-
     def test_telemetry_surfaces_degraded_path_counters(self, capsys):
         # a clean run still prints the degraded-path section, so a
         # struggling fleet is visible without grepping raw artifacts

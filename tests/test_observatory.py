@@ -16,7 +16,6 @@ from repro.telemetry import (
     DEFAULT_SLO_TARGETS,
     SPAN_Q1,
     SPAN_Q2,
-    MetricsRegistry,
     TraceFormatError,
     alerts_from_records,
     events_from_records,
@@ -25,7 +24,6 @@ from repro.telemetry import (
     render_scoreboard,
     scoreboard_from_records,
     slo_report_from_records,
-    to_prometheus_text,
 )
 from repro.telemetry.observatory import (
     AlertEngine,
@@ -456,92 +454,6 @@ class TestJsonlRoundTrip:
     def test_scoreboard_absent_returns_none(self):
         assert scoreboard_from_records([{"type": "meta"}]) is None
         assert slo_report_from_records([{"type": "meta"}]) is None
-
-
-class TestPrometheusExporter:
-    def test_counter_gets_total_suffix_and_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("as.attestations").inc(2, property="rooted")
-        text = to_prometheus_text(registry)
-        assert "# TYPE as_attestations_total counter" in text
-        assert 'as_attestations_total{property="rooted"} 2' in text
-
-    def test_gauge_renders_plainly(self):
-        registry = MetricsRegistry()
-        registry.gauge("sim.pending").set(3.5)
-        text = to_prometheus_text(registry)
-        assert "# TYPE sim_pending gauge" in text
-        assert "sim_pending 3.5" in text
-
-    def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat", buckets=(10.0, 20.0))
-        for value in (5.0, 15.0, 15.0, 99.0):
-            histogram.observe(value)
-        text = to_prometheus_text(registry)
-        assert 'lat_bucket{le="10"} 1' in text
-        assert 'lat_bucket{le="20"} 3' in text
-        assert 'lat_bucket{le="+Inf"} 4' in text
-        assert "lat_sum 134" in text
-        assert "lat_count 4" in text
-
-    def test_histogram_inf_bucket_counts_overflow_only_once(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat", buckets=(10.0,))
-        histogram.observe(5.0)
-        histogram.observe(50.0)
-        text = to_prometheus_text(registry)
-        assert 'lat_bucket{le="10"} 1' in text
-        assert 'lat_bucket{le="+Inf"} 2' in text
-        assert "lat_sum 55" in text
-        assert "lat_count 2" in text
-
-    def test_histogram_fractional_sum_renders_as_float(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat", buckets=(10.0,)).observe(0.5)
-        assert "lat_sum 0.5" in to_prometheus_text(registry)
-
-    def test_labeled_histogram_series_render_sorted_and_separate(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat", buckets=(10.0, 20.0))
-        histogram.observe(5.0, leg="q2")
-        histogram.observe(15.0, leg="q2")
-        histogram.observe(30.0, leg="q1")
-        text = to_prometheus_text(registry)
-        lines = text.splitlines()
-        # one bucket ladder + _sum + _count per label set, q1 before q2
-        # (the registry's sorted-label ordering)
-        q1 = [line for line in lines if 'leg="q1"' in line]
-        q2 = [line for line in lines if 'leg="q2"' in line]
-        assert lines.index(q1[0]) < lines.index(q2[0])
-        assert q1 == [
-            'lat_bucket{leg="q1",le="10"} 0',
-            'lat_bucket{leg="q1",le="20"} 0',
-            'lat_bucket{leg="q1",le="+Inf"} 1',
-            'lat_sum{leg="q1"} 30',
-            'lat_count{leg="q1"} 1',
-        ]
-        assert q2 == [
-            'lat_bucket{leg="q2",le="10"} 1',
-            'lat_bucket{leg="q2",le="20"} 2',
-            'lat_bucket{leg="q2",le="+Inf"} 2',
-            'lat_sum{leg="q2"} 20',
-            'lat_count{leg="q2"} 2',
-        ]
-
-    def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(detail='say "hi"\nback\\slash')
-        text = to_prometheus_text(registry)
-        assert r'c_total{detail="say \"hi\"\nback\\slash"} 1' in text
-
-    def test_metric_names_are_sanitized(self):
-        registry = MetricsRegistry()
-        registry.counter("1weird-name.leg").inc()
-        assert "_1weird_name_leg_total 1" in to_prometheus_text(registry)
-
-    def test_empty_registry_renders_empty(self):
-        assert to_prometheus_text(MetricsRegistry()) == ""
 
 
 class TestObservatoryWiring:

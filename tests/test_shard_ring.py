@@ -3,11 +3,9 @@
 The promises pinned here: ring construction is a pure function of
 (shards, seed, vnodes) — two same-seed rings agree on every owner and
 two different-seed rings use different salts; an empty ring refuses
-lookups instead of guessing; a single-shard ring owns everything;
-derived rings (``with_shard`` / ``without_shard``) move only keys whose
-new/old owner is the added/removed shard (ring adjacency — the property
-that makes rebalancing cheap); and the vnode count trades smoothness
-for ring size the way the docstring promises.
+lookups instead of guessing; a single-shard ring owns everything; and
+the vnode count trades smoothness for ring size the way the docstring
+promises.
 """
 
 from __future__ import annotations
@@ -47,9 +45,6 @@ def test_same_seed_rings_agree_different_seeds_diverge():
 def test_duplicate_shard_rejected():
     with pytest.raises(StateError):
         ConsistentHashRing(["s1", "s1"], seed=1)
-    ring = ConsistentHashRing(["s1"], seed=1)
-    with pytest.raises(StateError):
-        ring.with_shard("s1")
 
 
 def test_distribution_is_reasonably_smooth():
@@ -74,41 +69,6 @@ def test_low_vnode_ring_can_skew_onto_one_shard():
     # every shard is listed, including the starved one
     assert sorted(distribution) == ["s1", "s2"]
     assert sum(distribution.values()) == len(skewed)
-
-
-def test_add_shard_moves_only_ring_adjacent_keys():
-    ring = ConsistentHashRing(["s1", "s2", "s3"], seed=11)
-    grown = ring.with_shard("s4")
-    assert grown.salt == ring.salt  # derived rings share the salt
-    moved = ring.moved_keys(grown, KEYS)
-    assert moved, "a new shard should take over some keys"
-    for key, (old, new) in moved.items():
-        assert new == "s4"
-        assert old != "s4"
-    # every unmoved key keeps its old owner
-    for key in KEYS:
-        if key not in moved:
-            assert grown.owner(key) == ring.owner(key)
-
-
-def test_remove_shard_moves_only_its_own_keys():
-    ring = ConsistentHashRing(["s1", "s2", "s3", "s4"], seed=11)
-    shrunk = ring.without_shard("s4")
-    moved = ring.moved_keys(shrunk, KEYS)
-    owned_by_s4 = [k for k in KEYS if ring.owner(k) == "s4"]
-    assert sorted(moved) == sorted(owned_by_s4)
-    for key, (old, new) in moved.items():
-        assert old == "s4" and new != "s4"
-    with pytest.raises(StateError):
-        ring.without_shard("nope")
-
-
-def test_add_then_remove_round_trips():
-    ring = ConsistentHashRing(["s1", "s2"], seed=5)
-    round_tripped = ring.with_shard("s3").without_shard("s3")
-    assert [round_tripped.owner(k) for k in KEYS] == [
-        ring.owner(k) for k in KEYS
-    ]
 
 
 def test_vnodes_configure_ring_size():

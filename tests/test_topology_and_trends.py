@@ -1,4 +1,4 @@
-"""Tests for the data-center topology and availability trend analysis."""
+"""Tests for the data-center topology and topology-aware migration."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.identifiers import ServerId
 from repro.controller.response import ResponseAction
 from repro.controller.topology import DataCenterTopology
-from repro.properties.trends import AvailabilityTrendAnalyzer
 
 
 class TestTopology:
@@ -119,76 +118,3 @@ class TestTopologyAwareMigration:
         near = migration_time(cross_rack=False)
         far = migration_time(cross_rack=True)
         assert far > near * 1.2
-
-
-class TestAvailabilityTrends:
-    def test_healthy_series(self):
-        analyzer = AvailabilityTrendAnalyzer()
-        verdict = analyzer.analyze(
-            [0, 10_000, 20_000, 30_000], [0.9, 0.95, 0.92, 0.93]
-        )
-        assert verdict.classification == "healthy"
-
-    def test_transient_dip(self):
-        analyzer = AvailabilityTrendAnalyzer()
-        verdict = analyzer.analyze(
-            [0, 10_000, 20_000, 30_000, 40_000], [0.9, 0.92, 0.9, 0.91, 0.1]
-        )
-        assert verdict.classification == "transient_dip"
-        assert verdict.bad_run_length == 1
-
-    def test_sustained_bad_run(self):
-        analyzer = AvailabilityTrendAnalyzer(min_bad_run=3)
-        verdict = analyzer.analyze(
-            [0, 10_000, 20_000, 30_000, 40_000, 50_000],
-            [0.9, 0.9, 0.9, 0.05, 0.06, 0.05],
-        )
-        assert verdict.classification == "sustained_degradation"
-        assert verdict.bad_run_length == 3
-
-    def test_significant_negative_slope(self):
-        analyzer = AvailabilityTrendAnalyzer(min_bad_run=10)  # force slope path
-        times = [i * 10_000 for i in range(8)]
-        usages = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.15]
-        verdict = analyzer.analyze(times, usages)
-        assert verdict.classification == "sustained_degradation"
-        assert verdict.slope_per_second < 0
-        assert verdict.p_value < 0.05
-
-    def test_short_series_uses_run_rule(self):
-        analyzer = AvailabilityTrendAnalyzer(min_bad_run=2, min_points=4)
-        verdict = analyzer.analyze([0, 10_000], [0.1, 0.1])
-        assert verdict.classification == "sustained_degradation"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AvailabilityTrendAnalyzer(floor=1.5)
-        with pytest.raises(ValueError):
-            AvailabilityTrendAnalyzer(min_points=2)
-        with pytest.raises(ValueError):
-            AvailabilityTrendAnalyzer().analyze([0], [0.5, 0.5])
-
-    def test_end_to_end_trend_from_as_history(self):
-        """Periodic attestation feeds the AS history; the trend analyzer
-        distinguishes the sustained starvation from noise."""
-        cloud = CloudMonatt(num_servers=1, num_pcpus=1, seed=80)
-        alice = cloud.register_customer("alice")
-        victim = alice.launch_vm(
-            "small", "ubuntu",
-            properties=[SecurityProperty.CPU_AVAILABILITY,
-                        SecurityProperty.STARTUP_INTEGRITY],
-            workload={"name": "cpu_bound"}, pins=[0],
-        )
-        alice.start_periodic_attestation(
-            victim.vid, SecurityProperty.CPU_AVAILABILITY, frequency_ms=15_000.0
-        )
-        cloud.run_for(50_000.0)  # healthy rounds
-        healthy_trend = cloud.attestation_server.availability_trend(victim.vid)
-        assert healthy_trend.classification == "healthy"
-        alice.launch_vm(
-            "medium", "ubuntu",
-            workload={"name": "cpu_availability_attack"}, pins=[0, 0],
-        )
-        cloud.run_for(80_000.0)  # starved rounds accumulate
-        attacked_trend = cloud.attestation_server.availability_trend(victim.vid)
-        assert attacked_trend.classification == "sustained_degradation"
