@@ -577,11 +577,23 @@ class CloudController:
 
         A degraded (UNREACHABLE) outcome is not a verdict on the VM —
         remediating on it would punish a healthy VM for an unreachable
-        attestation server.
+        attestation server. A migration that finds no qualified target
+        has already terminated the VM (§5.2: "Otherwise, this VM is
+        terminated"); that is the action reported, and the customer
+        still gets its signed report.
         """
         if outcome.report.healthy or not self.auto_respond or outcome.degraded:
             return None
-        response_outcome = self.response.respond(vid, prop)
+        started = self.engine.now
+        try:
+            response_outcome = self.response.respond(vid, prop)
+        except PlacementError as exc:
+            return {
+                "action": ResponseAction.TERMINATE.value,
+                "reaction_ms": self.engine.now - started,
+                "new_server": "",
+                "detail": str(exc),
+            }
         return {
             "action": response_outcome.action.value,
             "reaction_ms": response_outcome.reaction_ms,

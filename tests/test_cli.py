@@ -264,3 +264,12 @@ class TestPolicyCommands:
         assert "policy status after 6000 ms" in output
         assert "runtime" in output
         assert "alarm transition(s)" in output
+
+
+def test_attack_covert(capsys):
+    # one server: the MIGRATE response finds no target, the VM is
+    # terminated instead, and the command still prints the verdict
+    assert main(["attack", "covert"]) == 0
+    output = capsys.readouterr().out
+    assert "COMPROMISED" in output
+    assert "remediation: terminate" in output

@@ -154,3 +154,31 @@ class TestAutoResume:
         alice.terminate_vm(victim.vid)
         cloud.run_for(80_000.0)  # checks fire but must do nothing
         assert cloud.controller.database.vm(victim.vid).state is VmState.TERMINATED
+
+
+class TestMigrationFallback:
+    def test_on_demand_migrate_without_a_target_terminates_and_reports(self):
+        # one server: the MIGRATE response finds no qualified target, so
+        # the controller terminates the VM (§5.2) and still answers the
+        # on-demand request with its signed report and that action
+        cloud = CloudMonatt(num_servers=1, num_pcpus=1, seed=69)
+        cloud.controller.response.set_policy(
+            SecurityProperty.CPU_AVAILABILITY, ResponseAction.MIGRATE
+        )
+        alice = cloud.register_customer("alice")
+        victim = alice.launch_vm(
+            "small", "ubuntu",
+            properties=[SecurityProperty.CPU_AVAILABILITY,
+                        SecurityProperty.STARTUP_INTEGRITY],
+            workload={"name": "cpu_bound"}, pins=[0],
+        )
+        alice.launch_vm(
+            "medium", "ubuntu",
+            workload={"name": "cpu_availability_attack"}, pins=[0, 0],
+        )
+        result = alice.attest(victim.vid, SecurityProperty.CPU_AVAILABILITY)
+        assert not result.report.healthy
+        assert result.response["action"] == "terminate"
+        assert result.response["new_server"] == ""
+        assert "no qualified migration target" in result.response["detail"]
+        assert cloud.controller.database.vm(victim.vid).state is VmState.TERMINATED
