@@ -386,7 +386,7 @@ class CloudController:
                     vid, "placement_failed", customer=str(customer)
                 )
                 raise
-            record.server = server
+            self.database.place(record, server)
             record.transition(VmState.SCHEDULED)
             self._record_provenance(
                 vid, "scheduled", server=str(server), flavor=flavor.name,

@@ -45,6 +45,11 @@ class NovaDatabase:
     flavors: dict[str, Flavor]
     _vms: dict[VmId, VmRecord] = field(default_factory=dict)
     _servers: dict[ServerId, ServerInfo] = field(default_factory=dict)
+    #: server → {vid: record} for every VM ever placed there, in vid
+    #: registration order; placement reads it per candidate server
+    _placed: dict[ServerId, dict[VmId, VmRecord]] = field(default_factory=dict)
+    #: vid → registration position (the order a full scan returns)
+    _order: dict[VmId, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # servers
@@ -72,7 +77,26 @@ class NovaDatabase:
         """Insert a new VM record."""
         if record.vid in self._vms:
             raise StateError(f"duplicate VM record {record.vid}")
+        self._order[record.vid] = len(self._vms)
         self._vms[record.vid] = record
+        if record.server is not None:
+            self._index(record)
+
+    def place(self, record: VmRecord, server_id: ServerId) -> None:
+        """Assign a recorded VM to a server (launch or migration)."""
+        if record.server is not None:
+            self._placed[record.server].pop(record.vid, None)
+        record.server = server_id
+        self._index(record)
+
+    def _index(self, record: VmRecord) -> None:
+        bucket = self._placed.setdefault(record.server, {})
+        bucket[record.vid] = record
+        rank = self._order[record.vid]
+        if any(self._order[vid] > rank for vid in bucket):
+            # a migrated-in VM registered before some of the residents
+            self._placed[record.server] = dict(
+                sorted(bucket.items(), key=lambda item: self._order[item[0]]))
 
     def vm(self, vid: VmId) -> VmRecord:
         """Look up a VM record; raises if unknown."""
@@ -85,10 +109,8 @@ class NovaDatabase:
         return list(self._vms.values())
 
     def vms_on(self, server_id: ServerId) -> list[VmRecord]:
-        """Live VMs placed on a server."""
-        return [
-            r for r in self._vms.values() if r.server == server_id and r.live
-        ]
+        """Live VMs placed on a server, in vid registration order."""
+        return [r for r in self._placed.get(server_id, {}).values() if r.live]
 
     # ------------------------------------------------------------------
     # derived allocation views (for placement)

@@ -248,7 +248,7 @@ class ResponseModule:
                 "snapshot": out["snapshot"],
             },
         )
-        record.server = destination
+        self._db.place(record, destination)
         record.transition(VmState.ACTIVE)
         self._record(
             vid, "migrated", source=str(source), destination=str(destination)

@@ -91,6 +91,25 @@ class TestNovaDatabase:
         assert not db.fits(ServerId("tiny"), FLAVORS["large"])
 
 
+    def test_vms_on_index_matches_a_full_scan(self):
+        # launches, a migration onto a server whose residents registered
+        # later, and a termination: the per-server index must answer
+        # exactly what a scan of every record answers, in the same order
+        from repro import CloudMonatt
+
+        cloud = CloudMonatt(num_servers=3, num_pcpus=4, seed=11, key_bits=512)
+        alice = cloud.register_customer("alice")
+        vids = [alice.launch_vm("small", "cirros").vid for _ in range(7)]
+        db = cloud.controller.database
+        destination = cloud.controller.response.migrate(vids[0])
+        alice.terminate_vm(vids[1])
+        later = [r.vid for r in db.vms_on(destination)]
+        assert later[0] == vids[0] and len(later) > 1
+        for info in db.servers():
+            scan = [r for r in db.vms() if r.server == info.server_id and r.live]
+            assert db.vms_on(info.server_id) == scan
+
+
 class TestNovaScheduler:
     @pytest.fixture()
     def db(self):
