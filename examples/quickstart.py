@@ -3,7 +3,8 @@
 Builds a three-server CloudMonatt cloud, launches a VM with security
 properties attached, and walks through the attestation API of paper
 Table 1: startup integrity, runtime integrity, covert-channel freedom
-and CPU availability — all healthy on a clean cloud.
+and CPU availability — all healthy on a clean cloud — then the
+raw-measurement pass-through and periodic attestation.
 
 Run: ``python examples/quickstart.py``
 """
@@ -44,6 +45,12 @@ def main() -> None:
         status = "healthy" if result.report.healthy else "COMPROMISED"
         print(f"  {prop.value:28s} {status:12s} ({result.attest_ms:6.0f} ms)")
         print(f"    -> {result.report.explanation}")
+
+    print("\nPass-through mode: the validated raw measurements M, left to")
+    print("the customer to interpret (Table 1's raw-measurement request):")
+    raw = alice.collect_raw_measurements(vm.vid, SecurityProperty.CPU_AVAILABILITY)
+    for name, value in sorted(raw.items()):
+        print(f"  {name}: {value}")
 
     print("\nStarting periodic attestation (every 30 s of cloud time)...")
     alice.start_periodic_attestation(

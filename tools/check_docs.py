@@ -55,7 +55,7 @@ REPO_DIRS = {"src", "docs", "tests", "benchmarks", "examples", "tools",
 ROOT_FILE_SUFFIXES = (".md", ".txt")
 
 #: Examples fast enough for a CI smoke run (wall seconds each).
-QUICK_EXAMPLES = ("quickstart.py", "fault_tolerance.py")
+QUICK_EXAMPLES = ("quickstart.py", "fault_tolerance.py", "covert_channel_detection.py")
 
 #: Packages (directories) or single modules whose public API must be
 #: fully docstring-covered.

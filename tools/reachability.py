@@ -162,6 +162,9 @@ SCENARIOS: tuple[Scenario, ...] = (
     _cli("shard-status", "shard", "status", "--shards", "2", "--vms", "6"),
     *(_cli(f"attack-{name}", "attack", name) for name in (
         "covert", "bus-covert", "availability", "rootkit", "tampered-image")),
+    *(_cli(name, name) for name in (
+        "verify-protocol", "leak-analysis", "export-proverif", "launch-matrix",
+        "telemetry")),
     Scenario("e2e:smoke", (str(REPO_ROOT / "benchmarks" / "e2e" / "run.py"),
                            "--all", "--scale", "smoke", "--out", "e2e")),
 )
