@@ -26,7 +26,8 @@ Every simulating command accepts ``--telemetry-out PATH``: the run
 executes with the observability hub (and its observatory consumer
 layer) enabled and exports a JSONL trace — spans, metrics, events,
 alerts, scoreboard, SLO report, stamped with the run's seed — when it
-finishes. The ``--slo-*`` flags set the per-leg latency targets the alert engine enforces.
+finishes. The ``--slo-*`` flags set the per-leg latency targets the
+alert engine enforces.
 """
 
 from __future__ import annotations

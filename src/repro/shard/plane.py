@@ -81,8 +81,8 @@ class ShardPlane:
     ``seed + i·SHARD_SEED_STRIDE`` and the shared ``cloud_kwargs``
     (servers per shard, pCPUs, key size, …). ``vnodes`` configures ring
     smoothness. The plane's own telemetry hub carries the ``shard.*``
-    fan-out counters; each shard's hub is labelled with
-    its shard name so flight records stay attributable after merging.
+    fan-out counters; each shard's hub is labelled with its shard name
+    so flight records stay attributable after merging.
     """
 
     def __init__(
@@ -110,8 +110,8 @@ class ShardPlane:
             clock=self._clock, enabled=telemetry_enabled, seed=seed
         )
         if telemetry_enabled:
-            # plane-level consumer: fan-out / executor
-            # events (notably shard_worker_crash) get alert coverage
+            # plane-level consumer: fan-out / executor events (notably
+            # shard_worker_crash) get alert coverage
             self.telemetry.attach_observatory(Observatory(self.telemetry.clock))
         names = [f"shard-{i + 1}" for i in range(num_shards)]
         self.ring = ConsistentHashRing(names, seed=seed, vnodes=vnodes)

@@ -90,7 +90,6 @@ class TestNovaDatabase:
         assert db.fits(ServerId("tiny"), FLAVORS["small"])
         assert not db.fits(ServerId("tiny"), FLAVORS["large"])
 
-
     def test_vms_on_index_matches_a_full_scan(self):
         # launches, a migration onto a server whose residents registered
         # later, and a termination: the per-server index must answer

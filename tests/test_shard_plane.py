@@ -5,8 +5,9 @@ The promises pinned here, in order: a sharded plane's per-VM reports
 byte-identical to a single-controller deployment's — sharding is a
 topology change, never an appraisal change; a 1-shard plane *is* the
 single-controller path; the cross-shard fleet root is the Merkle root
-over the per-shard signed batch roots in sorted shard-name order; and
-the plane's status snapshot and fan-out telemetry are deterministic.
+over the per-shard signed batch roots in sorted shard-name order; the
+plane's status snapshot is deterministic; and fan-out telemetry is
+counted on the plane and shard-tagged in each shard's flight records.
 """
 
 from __future__ import annotations

@@ -27,12 +27,13 @@ totals.
 The pytest benches run with ``--benchmark-disable``: pytest-benchmark's
 instrumentation pause calls ``sys.setprofile(None)`` around every timed
 call under ``--benchmark-only``, which would hide what the timed code
-calls. The e2e workloads run untraced, because the traced run's
-cProfile replaces the recorder.
+calls. For the same reason no scenario may run cProfile in process: its
+``disable`` clears the recorder for the rest of that process. So the
+e2e workloads run untraced, and a scenario added here must not profile.
 
 Usage::
 
-    python tools/reachability.py [--scenario NAME ...] [--json OUT] [--list]
+    python tools/reachability.py [--scenario NAME ...] [--json OUT]
 
 Exit status is 1 when a scenario fails (its calls up to the failure
 still count), else 0. Nothing is gated on the unreached count.
@@ -248,8 +249,7 @@ def unreached(
 def report(functions: list[Function], missing: list[Function]) -> str:
     """The unreached table and the totals, one function per line."""
     rows = [
-        f"{f.path.relative_to(REPO_ROOT) if f.path.is_relative_to(REPO_ROOT) else f.path}"
-        f":{f.line}  {f.qualname}  ({f.lines} lines)"
+        f"{f.path.relative_to(REPO_ROOT)}:{f.line}  {f.qualname}  ({f.lines} lines)"
         for f in missing
     ]
     total_lines = sum(f.lines for f in functions)
@@ -264,13 +264,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", action="append", default=[],
                         help="run only this scenario (repeatable)")
-    parser.add_argument("--list", action="store_true",
-                        help="print the scenario names and exit")
     parser.add_argument("--json", help="also write the result as JSON here")
     args = parser.parse_args(argv)
-    if args.list:
-        print("\n".join(s.name for s in SCENARIOS))
-        return 0
     chosen = [s for s in SCENARIOS if not args.scenario or s.name in args.scenario]
     unknown = set(args.scenario) - {s.name for s in SCENARIOS}
     if unknown:
