@@ -2,9 +2,10 @@
 
 Per-session key generation {AVKs, ASKs} is the dominant cost of every
 attestation round (paper §3.4.2, Fig. 9) — a prime search on the
-protocol's critical path: a few hundred DRBG draws and about 85
-Miller-Rabin witness rounds per 512-bit key. The pool moves that search
-off the hot path without changing a single protocol byte:
+protocol's critical path: about 30 DRBG draws and 71 Miller-Rabin
+witness rounds per 512-bit key, 48 of those rounds the two primes' own
+(``tests/test_keygen_counts.py``). The pool moves that search off the
+hot path without changing a single protocol byte:
 
 **Determinism contract.** The pool draws session *i*'s keypair from the
 DRBG fork stream ``attest-session-{i}`` (``i`` counting from 1), and

@@ -1,5 +1,7 @@
 """Tests for DRBG, primes, RSA keygen, and signatures."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,24 @@ def keypair():
 @pytest.fixture(scope="module")
 def other_keypair():
     return generate_keypair(HmacDrbg(5678, "test"), bits=KEY_BITS)
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division."""
+    if n < 2:
+        return False
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class _ScriptedDrbg(HmacDrbg):
+    """A DRBG whose ``randint_bits`` draws return scripted search starts."""
+
+    def __init__(self, starts):
+        super().__init__(0, "scripted")
+        self.starts = list(starts)
+
+    def randint_bits(self, bits):
+        return self.starts.pop(0)
 
 
 class TestDrbg:
@@ -75,6 +95,38 @@ class TestPrimes:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             generate_prime(4, HmacDrbg(0))
+
+    @pytest.mark.parametrize("bits", range(8, 17))
+    def test_small_start_finds_the_next_prime(self, bits):
+        # the lowest start, 0b11 << (bits - 2) | 1, is below the sieve
+        # bound for 8 to 10 bits (193, 385, 769): a sieve prime must not
+        # mark itself, so the search returns the first prime from there
+        drbg = _ScriptedDrbg([0])
+        start = (3 << (bits - 2)) | 1
+        expected = next(n for n in range(start, 1 << bits, 2) if _is_prime(n))
+        assert generate_prime(bits, drbg) == expected
+        assert drbg.starts == []
+
+    def test_window_past_the_top_redraws(self):
+        # 255 = 3 * 5 * 17 and the next odd number has 9 bits: redraw
+        drbg = _ScriptedDrbg([0xFF, 0])
+        assert generate_prime(8, drbg) == 193
+        assert drbg.starts == []
+
+    def test_window_without_a_prime_redraws(self):
+        # the 15-bit window from 31399 lies in the gap 31397..31469
+        assert not any(_is_prime(n) for n in range(31399, 31399 + 60, 2))
+        drbg = _ScriptedDrbg([31399, 0])
+        assert generate_prime(15, drbg) == 24593
+        assert drbg.starts == []
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(8, 32), st.integers(0, 2**32))
+    def test_generated_prime_is_prime_with_top_bits_set(self, bits, seed):
+        p = generate_prime(bits, HmacDrbg(seed, "prime-property"))
+        assert p.bit_length() == bits
+        assert p >> (bits - 2) == 0b11
+        assert _is_prime(p)
 
 
 class TestKeygen:
