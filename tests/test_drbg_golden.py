@@ -16,8 +16,12 @@ bytes" for the whole protocol rests on two streams staying put:
   if it happened to find the same primes.
 
 Every digest was recorded before the DRBG's HMAC and the Miller-Rabin
-loop were rewritten. Keygen runs on both modexp engines: GMP (when
-loadable) and built-in ``pow`` (``accel.AVAILABLE`` patched off).
+loop were rewritten. The four keygen digests were re-recorded when the
+prime search became incremental (one draw per window of odd
+candidates, a sieve, and each test's witness bases in two draws):
+every key changed, and the raw-stream digests did not. Keygen runs on
+both modexp engines: GMP (when loadable) and built-in ``pow``
+(``accel.AVAILABLE`` patched off).
 """
 
 import hashlib
@@ -63,13 +67,13 @@ FORK_SHA256 = (
 )
 KEYGEN_SHA256 = {
     (7, 512):
-        "0180b4fe380e8ad03008fcf129d260caf048fd8e22910706ba1c30df1362c752",
+        "981002e0f75d444f1c203b1c0921f514cdcf00a5c643c70bf4c8e0ff55809db6",
     (7, 1024):
-        "3c296af0dad88d149057d59b5b3bae8ae950e0229e84adc14150e9e17627d1d2",
+        "36ad557e4c6f6b771a107db269c7c536b08f8ada45e005d4d97a5a70f34d906c",
     (2718, 512):
-        "1f9a4c0acc2b44efb7cda4b146f6ba86421c805856fb92517a6540e5d69af4ef",
+        "b03ff33af866d4ab609926e93938bd9687c46310cd7538238e0a0e044bd2420f",
     (2718, 1024):
-        "17fd28c918393d43ab173a4ce6848e2b3db5b1a48497bf87a615f5869bb5bffa",
+        "c05bdca34f468eeb718e08b6780d05f053f0e9b613f330a3d0ca46558b1c939d",
 }
 
 

@@ -23,9 +23,13 @@ reports, responses and audit logs they carry kept their digests. The
 seal known answers and both ``wire`` digests were re-recorded again
 when the record keystream moved from HMAC-SHA256 counter blocks to one
 SHAKE-256 call per record: only ciphertext bytes moved, so every record
-length and the reports, responses and audit logs kept their digests. Both
-modexp engines compute the same integers, so the digests hold on GMP
-and on built-in ``pow`` alike.
+length and the reports, responses and audit logs kept their digests.
+Both ``wire`` digests were re-recorded once more when the prime search
+became incremental: every session and identity key changed, so the
+certificates, signatures and ciphertext they carry moved, while every
+record length and the reports, responses and audit logs kept their
+digests. Both modexp engines compute the same integers, so the digests
+hold on GMP and on built-in ``pow`` alike.
 """
 
 import enum
@@ -45,12 +49,12 @@ KEY_BITS = 512
 SEED = 314
 
 ROUND_SHA256 = {
-    "wire": "0a4fb277667fa89d46ada7fbf9a09818ddb3f43615409d85c7ad00f988c3ce99",
+    "wire": "b99cfd7ceb85aa764a001e9b06a003e9b63d7c4796e3b0387d34f802157b3a0d",
     "response": "3783ac1a041dc18ac92337cd33299700cc500d6cd8b73da1f6c75f63493a9f50",
     "audit": "20ef1d5d47ed2e6f0e23900f47a2d0d9f7efcd29d86a32999339efd3ff777933",
 }
 FLEET_SHA256 = {
-    "wire": "8dc1a47e79bf73ffb339f0c5f9b347bdca1bedd58d0643fd2c2e11ed410ef7c2",
+    "wire": "eaf6405b26bde045bd4bd5cd337c7bd1293a46af5dea9e9b7e64474212470990",
     "reports": "76bd9ea676c79da6a91a341fc7bc836cc0b9dc75994264539dbd4f49d5c81965",
     "audit_head": "e007d5d5408001f414b96573acbc8e3cc18652cce9c415623aec83fed526eefb",
 }
