@@ -6,7 +6,7 @@ Mirrors the OpenAttestation-based prototype structure:
   issues identity certificates and anonymous per-session attestation-key
   certificates.
 - :class:`~repro.attest_server.database.OatDatabase` — ``oat database``:
-  cloud-server capability registry and the attestation audit log.
+  the cloud-server capability registry.
 - :class:`~repro.attest_server.appraiser.OatAppraiser` — ``oat
   appraiser``: runs the measurement round with a cloud server and
   validates everything cryptographic about the response.

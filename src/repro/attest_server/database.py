@@ -1,8 +1,8 @@
 """The attestation server's database (``oat database``).
 
-Holds what the appraiser and interpreter need about cloud servers, and
-an append-only audit log of attestation outcomes (the paper's periodic
-attestation mode accumulates measurements here).
+Holds what the appraiser and interpreter need about cloud servers.
+Attestation outcomes go to the Attestation Server's hash-chained
+``audit`` log (:class:`repro.monitors.audit_log.AuditLog`).
 """
 
 from __future__ import annotations
@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import StateError
-from repro.common.identifiers import ServerId, VmId
-from repro.properties.catalog import SecurityProperty
+from repro.common.identifiers import ServerId
 
 
 @dataclass
@@ -23,23 +22,11 @@ class ServerEntry:
     enrolled: bool = True
 
 
-@dataclass(frozen=True)
-class AttestationLogRecord:
-    """One completed attestation, for auditing and accumulation."""
-
-    time_ms: float
-    vid: VmId
-    server: ServerId
-    prop: SecurityProperty
-    healthy: bool
-
-
 @dataclass
 class OatDatabase:
-    """Server registry + attestation audit log."""
+    """Registry of the cloud servers this Attestation Server appraises."""
 
     _servers: dict[ServerId, ServerEntry] = field(default_factory=dict)
-    log: list[AttestationLogRecord] = field(default_factory=list)
 
     def register_server(
         self, server_id: ServerId, supported_measurements: list[str]
@@ -64,7 +51,3 @@ class OatDatabase:
         """Whether a server can produce all listed measurements."""
         entry = self.server(server_id)
         return set(measurements) <= entry.supported_measurements
-
-    def record(self, record: AttestationLogRecord) -> None:
-        """Append an attestation outcome to the audit log."""
-        self.log.append(record)

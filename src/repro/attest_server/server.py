@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.attest_server.accumulator import MeasurementAccumulator
 from repro.attest_server.appraiser import OatAppraiser
 from repro.attest_server.certification import PropertyCertificationModule
-from repro.attest_server.database import AttestationLogRecord, OatDatabase
+from repro.attest_server.database import OatDatabase
 from repro.attest_server.interpreter import OatInterpreter
 from repro.common.errors import CloudMonattError, ProtocolError
 from repro.common.identifiers import ServerId, VmId
@@ -278,20 +278,11 @@ class AttestationServer:
         prop: SecurityProperty,
         report: PropertyReport,
     ) -> None:
-        """Record an attestation outcome: counter, database, audit log."""
+        """Record an attestation outcome: counter and audit log."""
         if self.telemetry.enabled:
             self.telemetry.counter("as.attestations").inc(
                 property=prop.value, healthy=str(report.healthy).lower()
             )
-        self.database.record(
-            AttestationLogRecord(
-                time_ms=self.cost.engine.now,
-                vid=vid,
-                server=server,
-                prop=prop,
-                healthy=report.healthy,
-            )
-        )
         # round_tags() joins this tamper-evident entry to the flight
         # recorder's round; empty outside any round scope so untracked
         # runs keep their exact historical payload bytes

@@ -43,7 +43,8 @@ class TestMultipleAttestationServers:
         assert all(vm.accepted for vm in vms)
         # both attestation servers performed work
         as1, as2 = cloud.attestation_servers
-        assert as1.database.log and as2.database.log
+        assert as1.audit.events("attestation")
+        assert as2.audit.events("attestation")
 
     def test_runtime_attestation_across_clusters(self, cloud):
         alice = cloud.register_customer("alice")

@@ -157,5 +157,6 @@ class TestSoakInvariants:
     def test_attestation_logs_are_consistent(self, soaked_cloud):
         cloud = soaked_cloud["cloud"]
         for attestation_server in cloud.attestation_servers:
-            for record in attestation_server.database.log:
-                assert attestation_server.database.knows_server(record.server)
+            for record in attestation_server.audit.events("attestation"):
+                assert attestation_server.database.knows_server(
+                    record.payload["server"])
