@@ -16,6 +16,11 @@ attacks when protections are removed:
   long-term identity key instead of a fresh certified session key (the
   relying party can now link sessions to the server, breaking the
   anonymity goal of §3.4.2).
+
+Each report hop sends its quoted body beside a signed token, as the code
+does (:mod:`repro.protocol.evidence`): the token signs only the hop name
+and the one-leaf Merkle root over the quote ``h(body)``, and the verifier
+recomputes that root from the body it received.
 """
 
 from __future__ import annotations
@@ -100,6 +105,7 @@ class ProtocolModel:
         self.rm = Name("rM")
         self.srv = Name("I")
         self.pseudonym = Name("anon-attester")
+        self.merkle_leaf = Name("merkle-leaf")
         #: messages the network attacker observes
         self.trace: list[Term] = []
         #: public values the attacker starts with
@@ -107,7 +113,7 @@ class ProtocolModel:
             pk(self.skcust), pk(self.skc), pk(self.ska), pk(self.sks),
             pk(self.skpca), self.vid, self.rm, Name("ck"),
             Name("attacker-key"), Name("attacker-nonce"), Name("R-forged"),
-            Name("M-forged"),
+            Name("M-forged"), self.merkle_leaf, Name("Q1"), Name("Q2"), Name("Q3"),
         ]
         self.sessions: list[SessionTerms] = []
         self._build_handshakes()
@@ -138,6 +144,13 @@ class ProtocolModel:
             transported = aenc(seed, pk(responder_sk))
             self._emit(transported)
             self._emit(sign_t(transported, initiator_sk))
+
+    def hop_token(self, hop: str, body: Term, key: Term) -> Term:
+        """The signed token of one report hop: the hop name and the
+        one-leaf Merkle root over the quote ``h(body)``. The body itself
+        travels beside the token, unsigned."""
+        root = h(pair(self.merkle_leaf, h(body)))
+        return sign_t(pair(Name(hop), root), key)
 
     def _measurement_signing_key(self, session: SessionTerms) -> Name:
         if self.variant is ProtocolVariant.IDENTITY_KEY_REUSE:
@@ -187,10 +200,9 @@ class ProtocolModel:
             if use_nonces
             else tuple_t(self.vid, self.rm, session.meas)
         )
-        payload4 = pair(body4, h(body4))
         self._emit(
             self._wrap(
-                tuple_t(payload4, sign_t(payload4, signing_key), certificate),
+                tuple_t(body4, self.hop_token("Q3", body4, signing_key), certificate),
                 self.kz,
             )
         )
@@ -201,8 +213,9 @@ class ProtocolModel:
             if use_nonces
             else tuple_t(self.vid, self.srv, self.prop, session.report)
         )
-        payload5 = pair(body5, h(body5))
-        self._emit(self._wrap(pair(payload5, sign_t(payload5, self.ska)), self.ky))
+        self._emit(
+            self._wrap(pair(body5, self.hop_token("Q2", body5, self.ska)), self.ky)
+        )
 
         # 6. controller -> customer: signed report + Q1
         body6 = (
@@ -210,10 +223,9 @@ class ProtocolModel:
             if use_nonces
             else tuple_t(self.vid, self.prop, session.report)
         )
-        payload6 = pair(body6, h(body6))
-        token = sign_t(payload6, self.skc)
+        token = self.hop_token("Q1", body6, self.skc)
         session.customer_token = token
-        self._emit(self._wrap(pair(payload6, token), self.kx))
+        self._emit(self._wrap(pair(body6, token), self.kx))
         return session
 
     # ------------------------------------------------------------------
@@ -231,7 +243,7 @@ class ProtocolModel:
             body = tuple_t(self.vid, self.prop, report)
         else:
             body = tuple_t(self.vid, self.prop, report, nonce)
-        return sign_t(pair(body, h(body)), self.skc)
+        return self.hop_token("Q1", body, self.skc)
 
 
 def network_attacker_knowledge(model: ProtocolModel):

@@ -28,7 +28,7 @@ from repro.verification.protocol_model import (
     curious_relying_party_knowledge,
     network_attacker_knowledge,
 )
-from repro.verification.terms import Name, Term, aenc, h, pair, pk, sign_t, tuple_t
+from repro.verification.terms import Name, Term, aenc, pair, pk, sign_t, tuple_t
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,9 @@ class ProtocolVerifier:
             Name("R-forged"), session.n1
         )
         body4 = tuple_t(model.vid, model.rm, Name("M-forged"), session.n3)
-        payload4 = pair(body4, h(body4))
-        forged_meas_token = sign_t(
-            payload4,
+        forged_meas_token = model.hop_token(
+            "Q3",
+            body4,
             model.sks
             if self.model.variant is ProtocolVariant.IDENTITY_KEY_REUSE
             else session.asks,

@@ -205,3 +205,41 @@ class TestWeakenedVariants:
     def test_replay_needs_two_sessions(self):
         with pytest.raises(ValueError):
             ProtocolVerifier(ProtocolVariant.STANDARD, sessions=1).check_replay()
+
+
+class TestRootOnlySignature:
+    """Every report hop signs only its name and the one-leaf Merkle root
+    over the quote ``h(body)``; the body travels beside the token."""
+
+    @pytest.fixture(scope="class")
+    def verifier(self):
+        return ProtocolVerifier(ProtocolVariant.STANDARD)
+
+    def test_token_is_the_hop_and_the_root(self, verifier):
+        model = verifier.model
+        session = model.sessions[0]
+        body = tuple_t(model.vid, model.prop, session.report, session.n1)
+        root = h(pair(Name("merkle-leaf"), h(body)))
+        assert session.customer_token == sign_t(pair(Name("Q1"), root), model.skc)
+
+    @pytest.mark.parametrize("hop", ["Q1", "Q3"])
+    def test_forged_body_under_a_real_root_signature_is_not_acceptable(
+        self, verifier, hop
+    ):
+        """An insider holding the real token and its body cannot make a
+        token that accepts a forged body beside it."""
+        model = verifier.model
+        session = model.sessions[0]
+        if hop == "Q1":
+            key = model.skc
+            real = tuple_t(model.vid, model.prop, session.report, session.n1)
+            forged = tuple_t(model.vid, model.prop, Name("R-forged"), session.n1)
+        else:
+            key = session.asks
+            real = tuple_t(model.vid, model.rm, session.meas, session.n3)
+            forged = tuple_t(model.vid, model.rm, Name("M-forged"), session.n3)
+        insider = KnowledgeBase(verifier.attacker.analyzed)
+        real_token = model.hop_token(hop, real, key)
+        insider.learn(real, real_token)
+        assert insider.can_derive(pair(real, real_token))
+        assert not insider.can_derive(model.hop_token(hop, forged, key))
