@@ -18,7 +18,8 @@ KEY_NONCE = "nonce"
 KEY_REQUESTED = "requested_measurements"
 KEY_WINDOW = "window_ms"
 KEY_MEASUREMENTS = "measurements"
-KEY_QUOTE = "quote"
+#: an evidence entry's quoted tuple, as the canonical bytes its quote hashes
+KEY_QUOTED = "quoted"
 KEY_SIGNATURE = "signature"
 KEY_SESSION_CERT = "session_certificate"
 KEY_REPORT = "report"
@@ -31,6 +32,9 @@ KEY_SEQ = "seq"
 KEY_ENTRIES = "entries"
 #: Merkle root over the per-entry quote leaves of a response
 KEY_BATCH_ROOT = "batch_root"
+#: the hop name and the entries' unquoted extras a response's signature covers
+KEY_HOP = "hop"
+KEY_EXTRAS = "extras"
 
 # message type tags
 MSG_ATTEST_REQUEST = "attest_request"

@@ -8,15 +8,34 @@
   signed with SKc.
 
 Hashes use the canonical encoding, so "||" concatenation ambiguity does
-not exist: each quote is a hash of a well-typed tuple.
+not exist: each quote is a hash of a well-typed tuple. The tuple's
+canonical bytes (:func:`quoted_tuple`) are what the evidence carries on
+the wire, so a producer encodes each tuple once and every verifier
+hashes the bytes it received (:func:`tuple_quote`).
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Optional
 
+from repro.crypto.encoding import encode
 from repro.crypto.hashing import sha256
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+
+def quoted_tuple(*values: Any) -> bytes:
+    """The canonical bytes a quote hashes: the encoded tuple ``values``."""
+    return encode(list(values))
+
+
+def tuple_quote(
+    blob: bytes, kind: str, telemetry: Optional[Telemetry] = None
+) -> bytes:
+    """The quote over a tuple's canonical bytes ``blob``; ``kind``
+    ("q3", "q2" or "q1") labels the ``protocol.quotes`` counter."""
+    (telemetry or NULL_TELEMETRY).counter("protocol.quotes").inc(kind=kind)
+    return hashlib.sha256(blob).digest()
 
 
 def attestation_quote(
@@ -27,8 +46,9 @@ def attestation_quote(
     telemetry: Optional[Telemetry] = None,
 ) -> bytes:
     """Q3: binds measurements to the VM, the request and the nonce."""
-    (telemetry or NULL_TELEMETRY).counter("protocol.quotes").inc(kind="q3")
-    return sha256([vid, list(requested), measurements, nonce])
+    return tuple_quote(
+        quoted_tuple(vid, list(requested), measurements, nonce), "q3", telemetry
+    )
 
 
 def report_quote_q2(
@@ -40,8 +60,9 @@ def report_quote_q2(
     telemetry: Optional[Telemetry] = None,
 ) -> bytes:
     """Q2: binds the interpreted report to VM, server, property, nonce."""
-    (telemetry or NULL_TELEMETRY).counter("protocol.quotes").inc(kind="q2")
-    return sha256([vid, server, prop, report, nonce])
+    return tuple_quote(
+        quoted_tuple(vid, server, prop, report, nonce), "q2", telemetry
+    )
 
 
 def report_quote_q1(
@@ -53,8 +74,7 @@ def report_quote_q1(
 ) -> bytes:
     """Q1: the customer-facing binding (the server identity is omitted —
     the customer must not learn which server hosts the VM)."""
-    (telemetry or NULL_TELEMETRY).counter("protocol.quotes").inc(kind="q1")
-    return sha256([vid, prop, report, nonce])
+    return tuple_quote(quoted_tuple(vid, prop, report, nonce), "q1", telemetry)
 
 
 def merkle_root(

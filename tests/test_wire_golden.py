@@ -28,8 +28,13 @@ Both ``wire`` digests were re-recorded once more when the prime search
 became incremental: every session and identity key changed, so the
 certificates, signatures and ciphertext they carry moved, while every
 record length and the reports, responses and audit logs kept their
-digests. Both modexp engines compute the same integers, so the digests
-hold on GMP and on built-in ``pow`` alike.
+digests. Both wire digests were re-recorded again when each hop's
+signature moved from the whole body to the hop name, the Merkle root
+and the unquoted extras, with every entry carrying its quoted tuple as
+the canonical bytes its quote hashes: every quote leaf and batch root
+kept its bytes, the records got shorter, and the reports, responses and
+audit logs kept their digests. Both modexp engines compute the same
+integers, so the digests hold on GMP and on built-in ``pow`` alike.
 """
 
 import enum
@@ -49,12 +54,12 @@ KEY_BITS = 512
 SEED = 314
 
 ROUND_SHA256 = {
-    "wire": "b99cfd7ceb85aa764a001e9b06a003e9b63d7c4796e3b0387d34f802157b3a0d",
+    "wire": "4cb47d224def038b8ffe1d46bd548a6514b1bf283709485360a51f8cc9d91424",
     "response": "3783ac1a041dc18ac92337cd33299700cc500d6cd8b73da1f6c75f63493a9f50",
     "audit": "20ef1d5d47ed2e6f0e23900f47a2d0d9f7efcd29d86a32999339efd3ff777933",
 }
 FLEET_SHA256 = {
-    "wire": "eaf6405b26bde045bd4bd5cd337c7bd1293a46af5dea9e9b7e64474212470990",
+    "wire": "d10e34a6d9a7451373909078768aa6e4880955dbaa7a59245fe088ad0b7cc036",
     "reports": "76bd9ea676c79da6a91a341fc7bc836cc0b9dc75994264539dbd4f49d5c81965",
     "audit_head": "e007d5d5408001f414b96573acbc8e3cc18652cce9c415623aec83fed526eefb",
 }
