@@ -110,7 +110,14 @@ class ResponseModule:
                 if self.auto_resume_after_suspend:
                     self._schedule_resume_check(vid)
             elif action is ResponseAction.MIGRATE:
-                return self._finish(vid, action, started, self.migrate(vid))
+                try:
+                    new_server = self.migrate(vid)
+                except PlacementError:
+                    # no qualified target: ``migrate`` terminated the VM
+                    if self._db.vm(vid).state is VmState.TERMINATED:
+                        self._finish(vid, ResponseAction.TERMINATE, started, None)
+                    raise
+                return self._finish(vid, action, started, new_server)
             return self._finish(vid, action, started, None)
 
     def _finish(

@@ -182,3 +182,38 @@ class TestMigrationFallback:
         assert result.response["new_server"] == ""
         assert "no qualified migration target" in result.response["detail"]
         assert cloud.controller.database.vm(victim.vid).state is VmState.TERMINATED
+
+    def test_termination_after_a_failed_migration_is_recorded(self):
+        """The termination is a response like any other: the observatory
+        sees a ``response`` event and ``controller.reaction_ms`` a
+        sample, both under the action that ran."""
+        cloud = CloudMonatt(
+            num_servers=1, num_pcpus=1, seed=69, telemetry_enabled=True
+        )
+        cloud.controller.response.set_policy(
+            SecurityProperty.CPU_AVAILABILITY, ResponseAction.MIGRATE
+        )
+        alice = cloud.register_customer("alice")
+        victim = alice.launch_vm(
+            "small", "ubuntu",
+            properties=[SecurityProperty.CPU_AVAILABILITY,
+                        SecurityProperty.STARTUP_INTEGRITY],
+            workload={"name": "cpu_bound"}, pins=[0],
+        )
+        alice.launch_vm(
+            "medium", "ubuntu",
+            workload={"name": "cpu_availability_attack"}, pins=[0, 0],
+        )
+        result = alice.attest(victim.vid, SecurityProperty.CPU_AVAILABILITY)
+        assert result.response["action"] == "terminate"
+        responses = [
+            event.fields for event in cloud.telemetry.observatory.events
+            if event.kind == "response"
+        ]
+        assert len(responses) == 1
+        assert responses[0]["vid"] == str(victim.vid)
+        assert responses[0]["action"] == "terminate"
+        assert responses[0]["reaction_ms"] == result.response["reaction_ms"]
+        reaction = cloud.telemetry.metrics.histogram("controller.reaction_ms")
+        assert reaction.count(action="terminate") == 1
+        assert reaction.count(action="migrate") == 0
