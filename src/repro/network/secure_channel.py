@@ -28,6 +28,8 @@ certificate not issued by the trusted CA is refused.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -96,8 +98,22 @@ class _Channel:
             self.window |= 1 << (self.recv_seq - 1 - seq)
 
 
+_PACK_LEN = struct.Struct(">I").pack
+_NONCE_TAG = encode("nonce") + b"B"
+
+
 def _record_nonce(channel_id: bytes, direction: str, seq: int) -> bytes:
-    return sha256(["nonce", channel_id, direction, seq])[:16]
+    """``sha256(["nonce", channel_id, direction, seq])[:16]``, its
+    canonical bytes assembled by hand (``tests/test_codec_equivalence.py``
+    pins them to the encoder's)."""
+    raw = direction.encode()
+    size = (seq.bit_length() + 8) // 8 + 1
+    body = (
+        _NONCE_TAG + _PACK_LEN(len(channel_id)) + channel_id
+        + b"S" + _PACK_LEN(len(raw)) + raw
+        + b"I" + _PACK_LEN(size) + seq.to_bytes(size, "big", signed=True)
+    )
+    return hashlib.sha256(b"L" + _PACK_LEN(len(body)) + body).digest()[:16]
 
 
 def _open_record(channel: _Channel, direction: str, seq: int, sealed: bytes) -> bytes:
