@@ -22,7 +22,10 @@ The policy row always runs its feature arm first: its reference
 replays the schedule the feature arm just recorded. Three estimators
 cover every row:
 
-- ``speedup``: best feature ops/sec over best reference ops/sec;
+- ``speedup``: best feature ops/sec over best reference ops/sec. The
+  ``fleet`` row times five pairs in the full profile: its pipeline arm
+  is one 32-VM pass of 20-35 ms, so one pair lets a single scheduler
+  hiccup decide the ratio;
 - ``pair_overhead``: ``feature/reference - 1`` per pair. The gate tests
   the best (lowest) pair and the median pair is reported: a real cost
   shifts every pair up, while host interference scatters pairs both
@@ -645,7 +648,7 @@ ROWS = [
         speedup, Gate(True, 5.0, 1.0)),
     Row("fleet", ("serial attest() per VM", _fleet_arm(batched=False)),
         ("attest_fleet() pipeline", _fleet_arm(batched=True)),
-        speedup, Gate(True, 5.0, 3.0)),
+        speedup, Gate(True, 5.0, 3.0), pairs=(5, 1)),
     Row("gmp_sign", ("sign on pow", _sign_arm("pow", 1)),
         ("sign on GMP", _sign_arm("accel", 2)),
         speedup, Gate(True, 3.0, 3.0)),
