@@ -5,19 +5,23 @@ entry points of :mod:`repro.protocol.evidence`, a fleet pass signs and
 verifies once per cloud server reached (Q3), once per Attestation
 Server (Q2) and once for the customer (Q1), whether it attests 8 VMs
 or 32. Engine events and RSA signatures per attested VM are recorded
-exactly for a lone round (n = 1) and a 64-VM fleet pass (n = 64).
+exactly for a lone round (n = 1) and a 64-VM fleet pass (n = 64), and
+attestation sessions and signatures per VM for whole-fleet passes of
+32, 256 and 1,024 VMs.
 Unlike the wall-clock ``fleet`` row of ``benchmarks/bench_paired.py``,
 these counts do not depend on the host.
 """
 
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro import CloudMonatt, SecurityProperty
 from repro.crypto import signatures
 from repro.protocol import evidence
+from repro.tpm.trust_module import TrustModule
 
 PROP = SecurityProperty.RUNTIME_INTEGRITY
 ENTRY_POINTS = ("sign", "verify")
@@ -147,3 +151,48 @@ def test_events_per_attested_vm_do_not_grow_with_servers(fleet64):
         passes.append((cloud.engine.events_fired - events) / len(vids))
     assert len(wide[0].servers) == 4 * len(fleet64[0].servers)
     assert passes[0] == passes[1] == PER_VM[64]["events"]
+
+
+#: exact attestation sessions (``TrustModule.new_attestation_session``)
+#: and RSA signatures per attested VM for one warm whole-fleet
+#: ``attest_fleet`` call, on the e2e bench's fleets (``servers_for(n)``
+#: servers, idle VMs). The pipeline cuts the queue into 64-round batches
+#: in VM-id order and every server a batch reaches opens its own
+#: session, so sessions per VM grow with the fleet (ROADMAP item 14)
+WHOLE_FLEET = {
+    32: {"sessions": 0.09375, "signs": 0.34375},
+    256: {"sessions": 0.34375, "signs": 1.05078125},
+    1024: {"sessions": 1.0, "signs": 3.0166015625},
+}
+
+
+@pytest.mark.parametrize("num_vms", sorted(WHOLE_FLEET))
+def test_sessions_and_signatures_per_vm_of_a_whole_fleet_pass(num_vms, monkeypatch):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"))
+    try:
+        from workloads import provision, servers_for
+    finally:
+        sys.path.pop(0)
+    cloud, customer, vids = provision(num_vms, servers_for(num_vms), seed=31)
+    # warm every channel: one VM on each server
+    database = cloud.controller.database
+    first = {}
+    for vid in vids:
+        first.setdefault(database.vm(vid).server, vid)
+    customer.attest_fleet([(vid, PROP) for vid in first.values()])
+    sessions = 0
+    real = TrustModule.new_attestation_session
+
+    def new_attestation_session(self):
+        nonlocal sessions
+        sessions += 1
+        return real(self)
+
+    monkeypatch.setattr(TrustModule, "new_attestation_session", new_attestation_session)
+    counts = per_vm(
+        cloud,
+        lambda: customer.attest_fleet([(vid, PROP) for vid in vids]),
+        num_vms,
+        monkeypatch,
+    )
+    assert {"sessions": sessions / num_vms, "signs": counts["signs"]} == WHOLE_FLEET[num_vms]

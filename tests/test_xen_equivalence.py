@@ -20,7 +20,7 @@ created, so there an observation comes before the same-instant events
 scheduled after it.
 
 A scenario whose runs differ is pinned in ``KNOWN_MISMATCHES`` by seed
-with its reason; the set of differing seeds must equal it exactly.
+with its class; the set of differing seeds must equal it exactly.
 """
 
 import random
@@ -43,7 +43,7 @@ from repro.xen import (
     IoBoundWorkload,
 )
 
-SCENARIOS = 500
+SCENARIOS = 3000
 EPOCHS = (0.0, 3.3, 100.0, 6607.0053)
 HEARTBEATS_MS = (1000.0, 250.0, 95.0, 37.5, 10.0)
 #: kinds of domain a scenario creates; idle is listed twice so that
@@ -54,13 +54,24 @@ ACTIONS = (
     "add_listener", "running_on", "next_tick",
 )
 
-#: seed -> why its two runs differ (DESIGN §13)
+#: why each pinned seed's two runs differ (DESIGN §13): an availability
+#: attack is added while its pCPU's tick is suspended. Its helper's first
+#: run is scheduled for the tick instant 5 ms later, and the runner's
+#: dispatch re-arms the suspended tick behind it, so the tick catches the
+#: helper running and debits it; an always-armed tick, armed one period
+#: earlier, fires first
+READY_BEFORE_REARMED_TICK = "helper ready before a re-armed tick"
+
+#: seed -> (when the attack is added, the tick instant), with the class
 KNOWN_MISMATCHES = {
-    212: "an availability attack added at 7782.0053 from outside: its "
-         "helper's first run is scheduled for the tick instant 7787.0053, "
-         "and the runner's dispatch at 7782.1553 re-arms the suspended "
-         "tick behind it, so the tick catches the helper running and "
-         "debits it; an always-armed tick, armed at 7777.0053, fires first",
+    212: (7782.0053, 7787.0053, READY_BEFORE_REARMED_TICK),
+    921: (925.0, 930.0, READY_BEFORE_REARMED_TICK),
+    923: (6872.0053, 6877.0053, READY_BEFORE_REARMED_TICK),
+    1217: (2115.0, 2120.0, READY_BEFORE_REARMED_TICK),
+    1882: (7052.0053, 7057.0053, READY_BEFORE_REARMED_TICK),
+    2332: (588.3, 593.3, READY_BEFORE_REARMED_TICK),
+    2524: (275.0, 280.0, READY_BEFORE_REARMED_TICK),
+    2894: (348.3, 353.3, READY_BEFORE_REARMED_TICK),
 }
 
 
