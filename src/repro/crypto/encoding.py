@@ -29,7 +29,9 @@ dicts, whose placeholder length it patches once their body is written.
 A subclass (``IntEnum``, a ``str`` subclass) resolves to its base type
 on first use. The decoder walks each container body in one loop that
 decodes scalar children inline and recurses only into nested
-containers; the blob itself is read as the body of a one-item list.
+containers; the blob itself is read as the body of a one-item list
+that ends where its first value does, so bytes after that value are
+rejected unparsed.
 """
 
 from __future__ import annotations
@@ -141,13 +143,20 @@ def decode(blob: bytes) -> Any:
     Trailing garbage is rejected: the blob must be exactly one encoding,
     and in canonical form (see the module docstring).
     """
+    size = end = len(blob)
+    # read no further than the end of the first value
+    if size >= 5 and blob[0] in _SIZED:
+        end = min(size, 5 + _UNPACK_LEN(blob, 1)[0])
+    elif size > 1:
+        end = min(size, 9 if blob[0] == _D else 1)
     try:
-        values = _read(blob, 0, len(blob), 0, False)
+        values = _read(blob, 0, end, 0, False)
     except UnicodeDecodeError as exc:
         raise CryptoError("string field is not valid UTF-8") from exc
-    if len(values) != 1:
-        raise CryptoError("truncated encoding" if not values
-                          else "trailing bytes after canonical encoding")
+    if end < size:
+        raise CryptoError("trailing bytes after canonical encoding")
+    if not values:
+        raise CryptoError("truncated encoding")
     return values[0]
 
 

@@ -1,5 +1,6 @@
 """Tests for canonical encoding: determinism, injectivity, round-trips."""
 
+import functools
 import struct
 
 import pytest
@@ -83,6 +84,16 @@ class TestErrors:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(CryptoError):
             decode(encode(1) + b"\x00")
+
+    @pytest.mark.parametrize("trailer", [
+        b"\xff",
+        encode([[[]]]),
+        encode(functools.reduce(lambda inner, _: [inner], range(70), "x")),
+    ], ids=["unknown-tag", "list", "too-deep"])
+    @pytest.mark.parametrize("value", [{"a": 1}, 1, None, 2.5, "s"])
+    def test_trailing_bytes_are_rejected_unparsed(self, value, trailer):
+        with pytest.raises(CryptoError, match="^trailing bytes after canonical encoding$"):
+            decode(encode(value) + trailer)
 
     def test_truncated_blob_rejected(self):
         blob = encode("hello world")
