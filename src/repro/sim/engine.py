@@ -3,20 +3,21 @@
 Design notes:
 
 - Time is a ``float`` in **milliseconds** (see :mod:`repro.common.units`).
-- Events at the same timestamp fire in scheduling order (a monotonically
-  increasing sequence number breaks ties), so runs are deterministic.
+- Events at the same timestamp fire in the order they were scheduled
+  (at the instant ``born``, then by a sequence number), so runs are
+  deterministic. A re-armed periodic event may pass an earlier ``born``.
 - Cancellation is lazy: a cancelled event stays in the heap but is skipped
   when popped. This keeps :meth:`Engine.cancel` O(1). To stop cancelled
   entries accumulating forever under cancel-heavy workloads (periodic
   attestation re-arming, scheduler timeslice churn), the heap is
   compacted whenever cancelled entries outnumber live ones — an O(n)
   rebuild amortised against the ≥ n/2 dead entries it removes.
-- Heap entries are plain ``(time, seq, event)`` tuples: every sift in
-  push/pop compares entries, and tuple comparison (resolved on the
-  float, then the unique int) is several times cheaper than a generated
-  dataclass ``__lt__``. The event payload rides along uncompared
-  (``_Event`` is ``__slots__``-based, so its mutable flags are plain
-  slot loads).
+- Heap entries are plain ``(time, born, seq, event)`` tuples: every
+  sift in push/pop compares entries, and tuple comparison (resolved on
+  the floats, then the unique int) is several times cheaper than a
+  generated dataclass ``__lt__``. The event payload rides along
+  uncompared (``_Event`` is ``__slots__``-based, so its mutable flags
+  are plain slot loads).
 - The ``run``/``run_until`` loops are deliberately flat: the heap pop,
   the queue, and the error class are bound to locals outside the loop,
   ``run`` inlines :meth:`step` instead of paying a method call per
@@ -27,17 +28,14 @@ Design notes:
 - Compaction rebuilds the queue **in place** (slice assignment), never
   rebinding ``self._queue`` — the run loops hold a local alias to the
   list, and a callback-triggered cancel may compact mid-run.
-- A :class:`LocalQueue` holds one component's events off the heap and
-  fires them only when the component is next looked at. To tell which
-  of them the heap would already have fired at the current instant, an
-  event carries its sequence number and the instant it was scheduled
-  at, and the engine keeps the event it is firing (``None`` between
-  runs).
+- A :class:`LocalQueue` holds one component's events off the heap under
+  the same key, and fires them when the component is next looked at:
+  the heap would have fired those whose key is below that of the event
+  being fired (the engine keeps it, ``None`` between runs).
 """
 
 from __future__ import annotations
 
-import math
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -58,7 +56,7 @@ class _Event:
         args: tuple,
     ):
         self.time = time
-        #: the heap tie-breaker, and the instant the event was scheduled at
+        #: the same-instant order: the instant scheduled at, then the seq
         self.seq = seq
         self.born = born
         self.callback = callback
@@ -100,7 +98,7 @@ class Engine:
 
     def __init__(self):
         self._now = 0.0
-        self._queue: list[tuple[float, int, _Event]] = []
+        self._queue: list[tuple[float, float, int, _Event]] = []
         self._seq = 0
         self._running = False
         self._cancelled = 0
@@ -173,23 +171,29 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         event = _Event(now + delay, seq, now, callback, args)
-        heappush(self._queue, (event.time, seq, event))
+        heappush(self._queue, (event.time, now, seq, event))
         return EventHandle(event)
 
     def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
+        self,
+        time: float,
+        callback: Callable[..., None],
+        *args: Any,
+        born: Optional[float] = None,
     ) -> EventHandle:
         """Schedule at an absolute simulation time (must not be in the past).
 
         The event fires at exactly ``time``: going through a delay would
         land it at ``now + (time - now)``, which can be an ulp off.
+        ``born`` (default now) ranks it among same-instant events.
         """
         if time < self._now:
             raise StateError(f"cannot schedule into the past (time={time})")
+        born = self._now if born is None else born
         seq = self._seq
         self._seq = seq + 1
-        event = _Event(time, seq, self._now, callback, args)
-        heappush(self._queue, (time, seq, event))
+        event = _Event(time, seq, born, callback, args)
+        heappush(self._queue, (time, born, seq, event))
         return EventHandle(event)
 
     def cancel(self, handle: EventHandle) -> None:
@@ -206,7 +210,7 @@ class Engine:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place (module notes)."""
         queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        queue[:] = [entry for entry in queue if not entry[3].cancelled]
         heapify(queue)
         self._cancelled = 0
 
@@ -214,7 +218,7 @@ class Engine:
         """Run the next pending event. Returns False if the queue is empty."""
         queue = self._queue
         while queue:
-            event = heappop(queue)[2]
+            event = heappop(queue)[3]
             event.popped = True
             if event.cancelled:
                 self._cancelled -= 1
@@ -248,7 +252,7 @@ class Engine:
         pop = heappop
         try:
             while queue and queue[0][0] <= end_time:
-                time_, _, event = pop(queue)
+                time_, _, _, event = pop(queue)
                 event.popped = True
                 if event.cancelled:
                     self._cancelled -= 1
@@ -274,7 +278,7 @@ class Engine:
         executed = 0
         try:
             while queue:
-                time_, _, event = pop(queue)
+                time_, _, _, event = pop(queue)
                 event.popped = True
                 if event.cancelled:
                     self._cancelled -= 1
@@ -309,27 +313,21 @@ class LocalQueue:
     nothing anyone has seen. :meth:`release` moves every held event
     onto the engine's heap, for an owner that stops deferring.
 
-    Held events take the engine's sequence numbers, so among themselves,
-    and on release among the heap's events, they keep the places that
-    scheduling them on the engine would have given. Which of those held
-    for the current instant have already fired:
-
-    - outside a run, all but those scheduled since the last run
-      returned;
-    - inside an event ``E``, those scheduled before ``E`` was. For an
-      event scheduled outside a replay that is a lower sequence number.
-      An event a replayed callback scheduled counts as scheduled at its
-      replayed instant, so before ``E`` when that instant is earlier
-      than the one ``E`` was scheduled at, and after ``E`` otherwise.
+    Held events take the engine's key ``(time, born, seq)``; an event a
+    replayed callback schedules is born at that callback's instant. So on
+    release they keep the places scheduling them on the engine would have
+    given. A held event for the current instant has already fired if its
+    ``(born, seq)`` is below the firing event's or, between runs, below
+    ``(now, the sequence counter when the last run returned)``. That
+    holds while no held callback schedules an event for its own instant:
+    fired late, such an event would count as scheduled after the run.
     """
 
     __slots__ = ("_engine", "_heap", "_replaying")
 
     def __init__(self, engine: Engine):
         self._engine = engine
-        #: (time, seq, replayed, event); ``replayed`` marks an event a
-        #: replayed callback scheduled
-        self._heap: list[tuple[float, int, bool, _Event]] = []
+        self._heap: list[tuple[float, float, int, _Event]] = []
         self._replaying = False
 
     def schedule(
@@ -338,22 +336,27 @@ class LocalQueue:
         """Hold ``callback(*args)`` for ``delay`` ms from now."""
         if delay < 0:
             raise StateError(f"cannot schedule into the past (delay={delay})")
-        return self._hold(self._engine._now + delay, callback, args)
+        return self._hold(self._engine._now + delay, None, callback, args)
 
     def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
+        self,
+        time: float,
+        callback: Callable[..., None],
+        *args: Any,
+        born: Optional[float] = None,
     ) -> EventHandle:
         """Hold ``callback(*args)`` for exactly ``time``."""
         if time < self._engine._now:
             raise StateError(f"cannot schedule into the past (time={time})")
-        return self._hold(time, callback, args)
+        return self._hold(time, born, callback, args)
 
-    def _hold(self, time: float, callback: Callable[..., None], args: tuple):
+    def _hold(self, time: float, born: Optional[float], callback: Callable, args: tuple):
         engine = self._engine
+        born = engine._now if born is None else born
         seq = engine._seq
         engine._seq = seq + 1
-        event = _Event(time, seq, engine._now, callback, args)
-        heappush(self._heap, (time, seq, self._replaying, event))
+        event = _Event(time, seq, born, callback, args)
+        heappush(self._heap, (time, born, seq, event))
         return EventHandle(event)
 
     def cancel(self, handle: EventHandle) -> None:
@@ -372,17 +375,12 @@ class LocalQueue:
         engine = self._engine
         now = engine._now
         firing = engine._firing
-        if firing is None:
-            horizon, born_before = engine._settled, math.inf
-        else:
-            horizon, born_before = firing.seq, firing.born
+        fired = (now, engine._settled) if firing is None else (firing.born, firing.seq)
         self._replaying = True
         try:
             while heap:
-                time_, seq, replayed, event = heap[0]
-                if time_ > now or time_ == now and (
-                    event.born >= born_before if replayed else seq >= horizon
-                ):
+                time_, born, seq, event = heap[0]
+                if time_ > now or time_ == now and (born, seq) >= fired:
                     break
                 heappop(heap)
                 event.popped = True
@@ -398,7 +396,7 @@ class LocalQueue:
     def release(self) -> None:
         """Move every held event onto the engine's heap, in its place."""
         queue = self._engine._queue
-        for time_, seq, _, event in self._heap:
-            if not event.cancelled:
-                heappush(queue, (time_, seq, event))
+        for entry in self._heap:
+            if not entry[3].cancelled:
+                heappush(queue, entry)
         self._heap.clear()

@@ -107,8 +107,8 @@ class _Grid:
 
     def resume(
         self, now: float, cause: Optional[float], suspended_at: Optional[float]
-    ) -> float:
-        """The grid instant to re-arm a suspended event at.
+    ) -> tuple[float, float]:
+        """The grid instant to re-arm a suspended event at, and its ``born``.
 
         That is the first grid instant ``>= now``, unless ``now`` is a
         grid instant and an always-armed event would already have fired
@@ -117,14 +117,15 @@ class _Grid:
         scheduled (``cause``, :attr:`Engine.cause_time`) after the
         previous grid instant, which is when the event at ``now`` was
         armed. Calls from outside the engine (``cause`` is None) come
-        after everything at ``now``.
+        after everything at ``now``. It is born at the grid instant
+        before, when an always-armed event would have been scheduled.
         """
         instant = self.at_or_after(now)
         if instant == now and (
             cause is None or cause > self.prev or instant == suspended_at
         ):
-            instant += self.period
-        return instant
+            return instant + self.period, instant
+        return instant, self.prev
 
 
 class Recorder:
@@ -371,9 +372,9 @@ class CreditScheduler:
         """Re-arm a suspended tick at the next grid instant it has not
         fired at (see :meth:`_Grid.resume`)."""
         engine = self.engine
-        tick = self._ticks.resume(engine.now, engine.cause_time, pcpu.suspended_at)
+        tick, born = self._ticks.resume(engine.now, engine.cause_time, pcpu.suspended_at)
         pcpu.suspended_at = None
-        self._clock.schedule_at(tick, self._on_tick, pcpu)
+        self._clock.schedule_at(tick, self._on_tick, pcpu, born=born)
 
     def _on_accounting(self) -> None:
         """Redistribute credits to live domains in proportion to weight.
@@ -404,11 +405,11 @@ class CreditScheduler:
     def _resume_accounting(self) -> None:
         """Re-arm suspended accounting, by the rule ticks resume by."""
         engine = self.engine
-        instant = self._accounting.resume(
+        instant, born = self._accounting.resume(
             engine.now, engine.cause_time, self._accounting_suspended_at
         )
         self._accounting_suspended_at = None
-        self._clock.schedule_at(instant, self._on_accounting)
+        self._clock.schedule_at(instant, self._on_accounting, born=born)
 
     def _credit_shares(self) -> list[tuple[VCpu, float]]:
         """Each live vCPU's credit grant per accounting period."""

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.common.errors import SchedulingError
 from repro.common.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -242,6 +243,8 @@ class IdleWorkload(Workload):
 
     def __init__(self, heartbeat_ms: float = 1000.0):
         super().__init__()
+        if not heartbeat_ms > 0:
+            raise SchedulingError("idle heartbeat must be positive")
         self._heartbeat_ms = heartbeat_ms
 
     def next_burst(self, vcpu: "VCpu") -> Burst:

@@ -19,8 +19,7 @@ observe from inside engine events scheduled when the domains are
 created, so there an observation comes before the same-instant events
 scheduled after it.
 
-A scenario whose runs differ is pinned in ``KNOWN_MISMATCHES`` by seed
-with its class; the set of differing seeds must equal it exactly.
+No scenario's runs may differ.
 """
 
 import random
@@ -53,27 +52,6 @@ ACTIONS = (
     "histogram", "profile", "pause", "ipi", "add_domain", "remove_domain",
     "add_listener", "running_on", "next_tick",
 )
-
-#: why each pinned seed's two runs differ (DESIGN §13): an availability
-#: attack is added while its pCPU's tick is suspended. Its helper's first
-#: run is scheduled for the tick instant 5 ms later, and the runner's
-#: dispatch re-arms the suspended tick behind it, so the tick catches the
-#: helper running and debits it; an always-armed tick, armed one period
-#: earlier, fires first
-READY_BEFORE_REARMED_TICK = "helper ready before a re-armed tick"
-
-#: seed -> (when the attack is added, the tick instant), with the class
-KNOWN_MISMATCHES = {
-    212: (7782.0053, 7787.0053, READY_BEFORE_REARMED_TICK),
-    921: (925.0, 930.0, READY_BEFORE_REARMED_TICK),
-    923: (6872.0053, 6877.0053, READY_BEFORE_REARMED_TICK),
-    1217: (2115.0, 2120.0, READY_BEFORE_REARMED_TICK),
-    1882: (7052.0053, 7057.0053, READY_BEFORE_REARMED_TICK),
-    2332: (588.3, 593.3, READY_BEFORE_REARMED_TICK),
-    2524: (275.0, 280.0, READY_BEFORE_REARMED_TICK),
-    2894: (348.3, 353.3, READY_BEFORE_REARMED_TICK),
-}
-
 
 class _ExactLog:
     def __init__(self):
@@ -278,10 +256,4 @@ CHUNKS = 4
 
 @pytest.mark.parametrize("chunk", range(CHUNKS))
 def test_scenarios_match_the_eager_reference(chunk):
-    seeds = range(chunk, SCENARIOS, CHUNKS)
-    pinned = {seed for seed in KNOWN_MISMATCHES if seed % CHUNKS == chunk}
-    assert _differing(seeds) == pinned
-
-
-def test_pinned_seeds_are_in_range():
-    assert all(0 <= seed < SCENARIOS for seed in KNOWN_MISMATCHES)
+    assert _differing(range(chunk, SCENARIOS, CHUNKS)) == set()

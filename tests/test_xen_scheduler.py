@@ -512,6 +512,14 @@ class TestTicklessEquivalence:
 
         self._assert_same_as_always_ticking(scenario)
 
+    @pytest.mark.parametrize("heartbeat_ms", [0.0, -5.0, float("nan")])
+    def test_an_idle_heartbeat_must_be_positive(self, heartbeat_ms):
+        # a deferred host replays its heartbeats late, and a zero-length
+        # one would schedule its wake for its own instant: no key places
+        # that among events scheduled after the run (LocalQueue)
+        with pytest.raises(SchedulingError, match="heartbeat"):
+            IdleWorkload(heartbeat_ms=heartbeat_ms)
+
 
 def _accounting_from_scratch(hv):
     """Make ``hv`` recompute every share at every accounting period."""
