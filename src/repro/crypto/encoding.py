@@ -143,12 +143,14 @@ def decode(blob: bytes) -> Any:
     Trailing garbage is rejected: the blob must be exactly one encoding,
     and in canonical form (see the module docstring).
     """
-    size = end = len(blob)
+    size = len(blob)
     # read no further than the end of the first value
-    if size >= 5 and blob[0] in _SIZED:
-        end = min(size, 5 + _UNPACK_LEN(blob, 1)[0])
-    elif size > 1:
-        end = min(size, 9 if blob[0] == _D else 1)
+    if size > 4 and blob[0] in _SIZED:
+        end = 5 + _UNPACK_LEN(blob, 1)[0]
+        if end > size:
+            end = size
+    else:
+        end = 9 if size > 8 and blob[0] == _D else min(size, 1)
     try:
         values = _read(blob, 0, end, 0, False)
     except UnicodeDecodeError as exc:
