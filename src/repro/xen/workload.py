@@ -239,6 +239,10 @@ class IdleWorkload(Workload):
     """Never wants the CPU: wakes rarely, runs a negligible sliver.
 
     Models an idle co-resident VM (the paper's "Idle" attacker column).
+    ``heartbeat_ms`` must be positive: a deferred host replays its
+    heartbeats late, and cannot order a wake that a replayed burst end
+    schedules for its own instant (see
+    :class:`~repro.sim.engine.LocalQueue`).
     """
 
     def __init__(self, heartbeat_ms: float = 1000.0):
