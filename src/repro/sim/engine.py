@@ -31,11 +31,13 @@ Design notes:
 - A :class:`LocalQueue` holds one component's events off the heap under
   the same key, and fires them when the component is next looked at:
   the heap would have fired those whose key is below that of the event
-  being fired (the engine keeps it, ``None`` between runs).
+  being fired (the engine keeps it, ``None`` between runs) and, between
+  runs, those its own replay schedules for the current instant.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -175,11 +177,7 @@ class Engine:
         return EventHandle(event)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        born: Optional[float] = None,
+        self, time: float, callback: Callable[..., None], *args: Any, born: Optional[float] = None
     ) -> EventHandle:
         """Schedule at an absolute simulation time (must not be in the past).
 
@@ -318,9 +316,9 @@ class LocalQueue:
     release they keep the places scheduling them on the engine would have
     given. A held event for the current instant has already fired if its
     ``(born, seq)`` is below the firing event's or, between runs, below
-    ``(now, the sequence counter when the last run returned)``. That
-    holds while no held callback schedules an event for its own instant:
-    fired late, such an event would count as scheduled after the run.
+    ``(now, the sequence counter when the last run returned)``, or if
+    this replay scheduled it between runs: the run fired what a callback
+    scheduled for its own instant, however late its replay numbers it.
     """
 
     __slots__ = ("_engine", "_heap", "_replaying")
@@ -339,11 +337,7 @@ class LocalQueue:
         return self._hold(self._engine._now + delay, None, callback, args)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        born: Optional[float] = None,
+        self, time: float, callback: Callable[..., None], *args: Any, born: Optional[float] = None
     ) -> EventHandle:
         """Hold ``callback(*args)`` for exactly ``time``."""
         if time < self._engine._now:
@@ -376,11 +370,12 @@ class LocalQueue:
         now = engine._now
         firing = engine._firing
         fired = (now, engine._settled) if firing is None else (firing.born, firing.seq)
+        replay_from = engine._seq if firing is None else math.inf
         self._replaying = True
         try:
             while heap:
                 time_, born, seq, event = heap[0]
-                if time_ > now or time_ == now and (born, seq) >= fired:
+                if time_ > now or time_ == now and (born, seq) >= fired and seq < replay_from:
                     break
                 heappop(heap)
                 event.popped = True

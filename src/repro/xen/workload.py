@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.common.errors import SchedulingError
 from repro.common.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -239,16 +238,10 @@ class IdleWorkload(Workload):
     """Never wants the CPU: wakes rarely, runs a negligible sliver.
 
     Models an idle co-resident VM (the paper's "Idle" attacker column).
-    ``heartbeat_ms`` must be positive: a deferred host replays its
-    heartbeats late, and cannot order a wake that a replayed burst end
-    schedules for its own instant (see
-    :class:`~repro.sim.engine.LocalQueue`).
     """
 
     def __init__(self, heartbeat_ms: float = 1000.0):
         super().__init__()
-        if not heartbeat_ms > 0:
-            raise SchedulingError("idle heartbeat must be positive")
         self._heartbeat_ms = heartbeat_ms
 
     def next_burst(self, vcpu: "VCpu") -> Burst:

@@ -415,7 +415,8 @@ class TestTicklessEquivalence:
 
     Each scenario runs twice, once with an ``on_tick`` listener that
     keeps every pCPU ticking all along, and must log the same run
-    intervals, wake-ups and credits bit for bit.
+    intervals, wake-ups and credits bit for bit, and return the same
+    observations.
     """
 
     def _assert_same_as_always_ticking(self, scenario):
@@ -426,8 +427,8 @@ class TestTicklessEquivalence:
             hv.add_monitor(log)
             if keep_ticking:
                 hv.add_monitor(_KeepTicking())
-            scenario(hv)
-            results.append(log.lines)
+            seen = scenario(hv)
+            results.append((log.lines, seen))
         assert results[0] == results[1]
 
     def test_domain_created_at_a_tick_instant(self):
@@ -512,13 +513,28 @@ class TestTicklessEquivalence:
 
         self._assert_same_as_always_ticking(scenario)
 
-    @pytest.mark.parametrize("heartbeat_ms", [0.0, -5.0, float("nan")])
-    def test_an_idle_heartbeat_must_be_positive(self, heartbeat_ms):
-        # a deferred host replays its heartbeats late, and a zero-length
-        # one would schedule its wake for its own instant: no key places
-        # that among events scheduled after the run (LocalQueue)
-        with pytest.raises(SchedulingError, match="heartbeat"):
-            IdleWorkload(heartbeat_ms=heartbeat_ms)
+    @pytest.mark.parametrize(
+        "workload, times",
+        [
+            (lambda: IdleWorkload(heartbeat_ms=0.0), (0.01, 0.02, 0.03)),
+            (lambda: IdleWorkload(heartbeat_ms=1e-20), (0.01, 0.02, 0.03)),
+            (lambda: CovertChannelSender([1], gap_ms=0.0), (25.0, 50.0, 75.0)),
+        ],
+        ids=["idle-zero-heartbeat", "idle-sub-ulp-heartbeat", "covert-zero-gap"],
+    )
+    def test_wake_at_its_own_burst_end(self, workload, times):
+        # each burst end schedules the next wake for its own instant; an
+        # idle-only host replays its burst ends late, between runs, and
+        # must still read the vCPU running again at each burst end
+        def scenario(hv):
+            domain = hv.create_domain(VmId("z"), workload(), pcpus=[0])
+            seen = []
+            for time_ms in times:
+                hv.engine.run_until(time_ms)
+                seen.append(hv.scheduler.running_on(0) is domain.vcpus[0])
+            return seen
+
+        self._assert_same_as_always_ticking(scenario)
 
 
 def _accounting_from_scratch(hv):
