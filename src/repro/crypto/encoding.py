@@ -149,8 +149,10 @@ def decode(blob: bytes) -> Any:
         end = 5 + _UNPACK_LEN(blob, 1)[0]
         if end > size:
             end = size
+    elif size > 8 and blob[0] == _D:
+        end = 9
     else:
-        end = 9 if size > 8 and blob[0] == _D else min(size, 1)
+        end = 1 if size else 0
     try:
         values = _read(blob, 0, end, 0, False)
     except UnicodeDecodeError as exc:
