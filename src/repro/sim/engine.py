@@ -177,7 +177,11 @@ class Engine:
         return EventHandle(event)
 
     def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any, born: Optional[float] = None
+        self,
+        time: float,
+        callback: Callable[..., None],
+        *args: Any,
+        born: Optional[float] = None,
     ) -> EventHandle:
         """Schedule at an absolute simulation time (must not be in the past).
 
@@ -337,7 +341,11 @@ class LocalQueue:
         return self._hold(self._engine._now + delay, None, callback, args)
 
     def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any, born: Optional[float] = None
+        self,
+        time: float,
+        callback: Callable[..., None],
+        *args: Any,
+        born: Optional[float] = None,
     ) -> EventHandle:
         """Hold ``callback(*args)`` for exactly ``time``."""
         if time < self._engine._now:
